@@ -45,7 +45,6 @@ import (
 	"shfllock/internal/core"
 	"shfllock/internal/lockreg"
 	"shfllock/internal/lockstat"
-	"shfllock/internal/runtimeq"
 	"shfllock/internal/shuffle"
 	"shfllock/internal/sim"
 )
@@ -137,9 +136,6 @@ func main() {
 	if pol != nil {
 		need = append(need, lockreg.CapPolicy)
 	}
-	if meta != nil {
-		need = append(need, lockreg.CapSelfTuning)
-	}
 	if *abortFrac > 0 {
 		need = append(need, lockreg.CapAbortable)
 	}
@@ -151,7 +147,7 @@ func main() {
 		if meta == nil {
 			return
 		}
-		meta.SetSource(lockstat.MetaSource(lockstat.Default.Site("torture/"+ent.Name), runtimeq.Oversubscribed))
+		meta.SetSource(lockstat.MetaSource(lockstat.Default.Site("torture/" + ent.Name)))
 		meta.SetClock(func() uint64 { return uint64(time.Now().UnixNano()) })
 	}
 	printTransitions := func() {

@@ -119,6 +119,6 @@ func (w *Watchdog) fire(t *sim.Thread, worker int, age uint64) {
 	b.WriteString(w.eng.Dump())
 	w.report = b.String()
 
-	w.eng.Abort(w.reason)
+	w.eng.Abort()
 	select {} // the engine is gone; freeze alongside the threads it left
 }

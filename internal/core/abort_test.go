@@ -149,6 +149,77 @@ func TestAbortHammer(t *testing.T) {
 	}
 }
 
+// TestAbortGrantWalkLiveness is the regression test for a lost queue head:
+// a grant walk that reclaimed the head's scan hint used to relay that dead
+// node to the new head as its resumption point. The next shuffling round
+// then scanned from outside the queue and could splice a reclaimed node
+// back in, and the grant that later landed on it woke nobody: every waiter
+// parked forever. Abort-heavy traffic reaches that walk within a few
+// hundred milliseconds once several sockets make the NUMA policy move
+// waiters and keep hints; the run must finish.
+func TestAbortGrantWalkLiveness(t *testing.T) {
+	defer SetSockets(Sockets())
+	SetSockets(4)
+	for name, mk := range abortLocks() {
+		t.Run(name, func(t *testing.T) {
+			l := mk()
+			run := 500 * time.Millisecond
+			if testing.Short() {
+				run = 150 * time.Millisecond
+			}
+			var stop atomic.Bool
+			var granted, inCS atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for !stop.Load() {
+						got := false
+						d := time.Duration(rng.Intn(200)) * time.Microsecond
+						switch {
+						case rng.Float64() < 0.3:
+							if rng.Intn(2) == 0 {
+								got = l.LockTimeout(d)
+							} else {
+								ctx, cancel := context.WithTimeout(context.Background(), d)
+								got = l.LockContext(ctx) == nil
+								cancel()
+							}
+						case rng.Intn(8) == 0:
+							got = l.TryLock()
+						default:
+							l.Lock()
+							got = true
+						}
+						if !got {
+							continue
+						}
+						if inCS.Add(1) != 1 {
+							t.Error("mutual exclusion violated")
+						}
+						for i := 0; i < rng.Intn(200); i++ {
+						}
+						inCS.Add(-1)
+						granted.Add(1)
+						l.Unlock()
+					}
+				}(int64(g) + 1)
+			}
+			time.Sleep(run)
+			stop.Store(true)
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("waiters still blocked 10s after the run stopped (%d acquisitions): lost queue head", granted.Load())
+			}
+		})
+	}
+}
+
 // TestAbortProbeCounts: aborts and reclaims reported through the probe
 // stay consistent — every abort is eventually matched by at most one
 // reclaim (the head abdication path aborts without leaving a node behind).

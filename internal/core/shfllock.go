@@ -303,7 +303,10 @@ func (l *shflState) passHead(blocking, roleMine bool, n *qnode) bool {
 		// successor may leave the queue at any moment.
 		if next != relayed && pol.PassRole() && (roleMine || n.shuffler.Load() != 0) {
 			if pol.UseHint() {
-				if h := n.lastHint.Load(); h != nil && h != next && h != n {
+				// A hint this walk reclaimed is outside the queue: resuming a
+				// scan from it could splice the dead node back in, and the
+				// grant that later lands on it wakes nobody.
+				if h := n.lastHint.Load(); h != nil && h != next && h != n && h.status.Load() != sReclaimed {
 					next.lastHint.Store(h)
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,6 +98,15 @@ func hammerTransitions(t *testing.T, l transitionLock) {
 		}
 	}()
 
+	// On a small machine the workers can finish their iterations before
+	// the flipper is ever scheduled; past iters they keep going until two
+	// transitions have landed (or the deadline passes and the epoch check
+	// below fails), so flips always meet acquisitions in flight.
+	deadline := time.Now().Add(10 * time.Second)
+	flipping := func(i int) bool {
+		return i < iters || (l.PolicyEpoch() < 2 && time.Now().Before(deadline))
+	}
+
 	counter := 0
 	var granted atomic.Uint64 // successful acquisitions, all paths
 	var wg sync.WaitGroup
@@ -105,7 +115,7 @@ func hammerTransitions(t *testing.T, l transitionLock) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
+			for i := 0; flipping(i); i++ {
 				switch (id + i) % 3 {
 				case 0:
 					l.Lock()
@@ -213,25 +223,35 @@ func TestTransitionPinnedRound(t *testing.T) {
 	defer shflOracle.Store(nil)
 
 	counter := 0
+	var granted atomic.Uint64
 	var wg sync.WaitGroup
 	workers, iters := 8, 200
 	if testing.Short() {
 		workers, iters = 4, 60
 	}
+	// Few acquisitions queue on a small machine: the holder yields on every
+	// other pass so the others pile up behind it, and past iters the
+	// workers keep going until contention has reached the hooks, within a
+	// bound.
+	deadline := time.Now().Add(10 * time.Second)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < iters; i++ {
+			for i := 0; i < iters || (flips.Load() == 0 && time.Now().Before(deadline)); i++ {
 				m.Lock()
 				counter++
+				if i%2 == 0 {
+					runtime.Gosched()
+				}
 				m.Unlock()
+				granted.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if counter != workers*iters {
-		t.Fatalf("lost updates under forced mid-round flips: %d want %d", counter, workers*iters)
+	if uint64(counter) != granted.Load() {
+		t.Fatalf("lost updates under forced mid-round flips: %d want %d", counter, granted.Load())
 	}
 	if flips.Load() == 0 {
 		t.Skip("no contention reached the oracle hooks on this machine")

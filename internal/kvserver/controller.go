@@ -6,6 +6,7 @@ import (
 
 	"shfllock/internal/lockstat"
 	"shfllock/internal/runtimeq"
+	"shfllock/internal/shuffle"
 )
 
 // controller is the adaptive layer: lockstat as a live control signal. It
@@ -16,10 +17,10 @@ import (
 //
 // Shape (RW vs plain mutex), from the read fraction:
 //
-//   - read fraction >= hiRead: readers dominate; shared acquisitions keep
+//   - read fraction >= ctlHiRead: readers dominate; shared acquisitions keep
 //     point reads out of the writer queue and long scans stop blocking
 //     them → an RW lock.
-//   - read fraction <= loRead: writers dominate; the RW write path (queue
+//   - read fraction <= ctlLoRead: writers dominate; the RW write path (queue
 //     on the ordering mutex, stop readers, drain, claim) is pure overhead
 //     when there is nobody to share with → a plain mutex.
 //
@@ -32,9 +33,9 @@ import (
 // the contended path and feeds back into more aborts. The abort fraction
 // is exactly the lockstat signal for that regime:
 //
-//   - aborts/attempts >= hiAbort: abort storm; flee to the sync family's
-//     detached futex waiters.
-//   - aborts/attempts <= loAbort: pressure gone; return to the home
+//   - aborts/attempts >= ctlHiAbort, past shuffle.Storm's absolute floor:
+//     abort storm; flee to the sync family's detached futex waiters.
+//   - aborts/attempts <= ctlLoAbort: pressure gone; return to the home
 //     family (Config.CtlHome).
 //
 // The home family is where the calm branch points. It defaults to shfl
@@ -46,54 +47,41 @@ import (
 // There the home is sync and the family axis engages only as the
 // abort-storm escape hatch.
 //
-// Two stabilizers keep it from thrashing: a shard must see at least minOps
+// Two stabilizers keep it from thrashing, both in the shuffle.Governor it
+// shares with the "auto" meta-policy: a shard must see at least minOps
 // acquisition attempts in an interval to be judged at all (idle shards
-// keep their lock), and the same verdict must repeat settle times in a
-// row before the handover runs (hysteresis — the band between the lo and
-// hi thresholds of each axis also always votes "stay"). A handover drains
-// the shard (shard.swapLock), so at most one switch per shard per
+// keep their lock), and the same verdict must repeat in consecutive
+// intervals before the handover runs (hysteresis — the band between the lo
+// and hi thresholds of each axis also always votes "stay"). A handover
+// drains the shard (shard.swapLock), so at most one switch per shard per
 // interval and the switch itself is the only write the shard sees from
 // the controller.
 type controller struct {
 	srv      *Server
 	interval time.Duration
-	hiRead   float64
-	loRead   float64
-	hiAbort  float64
-	loAbort  float64
 	homeSync bool // calm-branch family: true means sync is home
-	selfTune bool // in-family decisions delegated to the locks' meta-policies
-	settle   int
 	minOps   uint64
 
 	prev []lockstat.Report
-	lean []leaning
+	gov  []shuffle.Governor
 }
 
-// ctlMinAborts is the absolute per-interval abort floor below which the
-// family axis never votes "storm", whatever the fraction says.
-const ctlMinAborts = 8
-
-// leaning tracks hysteresis state for one shard.
-type leaning struct {
-	want  string // impl the recent intervals point at ("" = none)
-	count int    // consecutive intervals agreeing on want
-}
+// The controller's thresholds, per axis.
+const (
+	ctlHiRead  = 0.55 // read fraction at/above which a shard wants RW
+	ctlLoRead  = 0.30 // read fraction at/below which a shard wants a mutex
+	ctlHiAbort = 0.05 // abort fraction at/above which a shard flees to sync
+	ctlLoAbort = 0.01 // abort fraction at/below which it returns home
+)
 
 func newController(s *Server) *controller {
 	return &controller{
 		srv:      s,
 		interval: s.cfg.CtlInterval,
-		hiRead:   s.cfg.CtlHiRead,
-		loRead:   s.cfg.CtlLoRead,
-		hiAbort:  s.cfg.CtlHiAbort,
-		loAbort:  s.cfg.CtlLoAbort,
 		homeSync: s.cfg.CtlHome == "sync",
-		selfTune: s.cfg.SelfTune,
-		settle:   s.cfg.CtlSettle,
 		minOps:   s.cfg.CtlMinOps,
 		prev:     make([]lockstat.Report, len(s.shards)),
-		lean:     make([]leaning, len(s.shards)),
+		gov:      make([]shuffle.Governor, len(s.shards)),
 	}
 }
 
@@ -128,32 +116,29 @@ func (c *controller) tick() {
 // shard's interval.
 func (c *controller) decide(i int, sh *shard, d lockstat.Report) {
 	attempts := d.Acquires + d.Aborts
-	if attempts < c.minOps {
-		c.lean[i] = leaning{} // too quiet to judge; reset the streak
-		return
-	}
 	cur := sh.box.Load().impl
 	isSync, isRW := implAxes(cur)
 
-	// The storm verdict needs an absolute floor as well as a fraction: on
-	// a quiet shard one unlucky timeout in a ten-attempt interval is a 10%
-	// "storm", and the resulting drain stall manufactures the next
-	// interval's aborts — a self-sustaining flap. A real abort storm has
-	// no trouble clearing both bars.
-	abortFrac := float64(d.Aborts) / float64(attempts)
-	storm := d.Aborts >= ctlMinAborts && abortFrac >= c.hiAbort
+	// The storm verdict needs shuffle.Storm's absolute floor as well as the
+	// fraction, so one unlucky timeout on a quiet shard cannot start a
+	// drain-stall flap.
+	var abortFrac float64
+	if attempts > 0 {
+		abortFrac = float64(d.Aborts) / float64(attempts)
+	}
+	storm := shuffle.Storm(d.Aborts, abortFrac, ctlHiAbort)
 	switch {
 	case storm:
 		isSync = true
-	case abortFrac <= c.loAbort:
+	case abortFrac <= ctlLoAbort:
 		isSync = c.homeSync
 	}
 	if d.Acquires > 0 {
 		readFrac := float64(d.ReadAcquires) / float64(d.Acquires)
 		switch {
-		case readFrac >= c.hiRead:
+		case readFrac >= ctlHiRead:
 			isRW = true
-		case readFrac <= c.loRead:
+		case readFrac <= ctlLoRead:
 			isRW = false
 		}
 	}
@@ -166,29 +151,14 @@ func (c *controller) decide(i int, sh *shard, d lockstat.Report) {
 	// overrides the mutex-shaped verdict from either home. Two carve-outs:
 	// an abort storm still flees to sync (goro waiters abandon qnodes like
 	// any ShflLock, so the reclaim feedback loop applies to it too), and RW
-	// verdicts keep their reader path (goro is mutex-shaped). Under
-	// SelfTune the controller delegates this axis entirely: the attached
-	// meta-policy switches its own lock to the goro *stage* in place — no
-	// drain, no handover — so a controller-driven swap to ImplGoro would
-	// only duplicate the decision one layer up, slower and with a drain
-	// stall attached.
-	if !c.selfTune && !storm && !isRW && runtimeq.Oversubscribed() {
+	// verdicts keep their reader path (goro is mutex-shaped).
+	if !storm && !isRW && runtimeq.Oversubscribed() {
 		want = ImplGoro
 	}
 
-	if want == cur {
-		c.lean[i] = leaning{}
-		return
+	if c.gov[i].Vote(attempts, c.minOps, want, cur) {
+		sh.swapLock(want)
 	}
-	if c.lean[i].want != want {
-		c.lean[i] = leaning{want: want}
-	}
-	c.lean[i].count++
-	if c.lean[i].count < c.settle {
-		return
-	}
-	c.lean[i] = leaning{}
-	sh.swapLock(want)
 }
 
 // implAxes decomposes a lock impl name into the controller's two axes.

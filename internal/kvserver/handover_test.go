@@ -37,7 +37,7 @@ func newTestRegistry() *lockstat.Registry {
 func TestHandoverTorture(t *testing.T) {
 	var violations atomic.Uint64
 	reg := newTestRegistry()
-	sh, err := newShard(ImplShflRW, reg.Site("torture"), &violations, false)
+	sh, err := newShard(ImplShflRW, reg.Site("torture"), &violations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestHandoverTorture(t *testing.T) {
 func TestSwapLockRace(t *testing.T) {
 	var violations atomic.Uint64
 	reg := newTestRegistry()
-	sh, err := newShard(ImplShflRW, reg.Site("swaprace"), &violations, false)
+	sh, err := newShard(ImplShflRW, reg.Site("swaprace"), &violations)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"shfllock/internal/core"
 	"shfllock/internal/runtimeq"
+	"shfllock/internal/shuffle"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -212,6 +213,32 @@ func TestDebugLockstatIntervals(t *testing.T) {
 	}
 }
 
+// TestDebugLockstatTransitions: /debug/lockstat carries each shard lock's
+// policy-transition tail, so a live policy swap is visible from the report
+// alone.
+func TestDebugLockstatTransitions(t *testing.T) {
+	s, ts := newTestServer(t, Config{Lock: ImplAdaptive, Shards: 2, CtlInterval: time.Hour, CtlHome: "shfl"})
+	for _, sh := range s.shards {
+		sh.box.Load().lk.(*rwShard).h.SetPolicy(shuffle.NUMA())
+	}
+	_, body := do(t, "GET", ts.URL+"/debug/lockstat", "")
+	var d DebugLockstat
+	if err := json.Unmarshal([]byte(body), &d); err != nil {
+		t.Fatalf("unparseable /debug/lockstat: %v\n%s", err, body)
+	}
+	if len(d.Shards) != 2 {
+		t.Fatalf("%d shards in /debug/lockstat, want 2", len(d.Shards))
+	}
+	for _, sh := range d.Shards {
+		if len(sh.Transitions) != 1 {
+			t.Fatalf("shard %d (%s) transitions = %q, want the one api install", sh.Shard, sh.Impl, sh.Transitions)
+		}
+		if tr := sh.Transitions[0]; !strings.Contains(tr, "epoch=1") || !strings.Contains(tr, "-> numa (api)") {
+			t.Fatalf("shard %d transitions[0] = %q, want epoch=1 ... -> numa (api)", sh.Shard, tr)
+		}
+	}
+}
+
 // TestAdaptiveConverges: under sustained read-mostly direct traffic every
 // busy shard settles on shfl-rw; under write-mostly traffic, shfl-mutex.
 func TestAdaptiveConverges(t *testing.T) {
@@ -225,7 +252,6 @@ func TestAdaptiveConverges(t *testing.T) {
 		PreloadKeys: 200,
 		CtlInterval: 20 * time.Millisecond,
 		CtlMinOps:   20,
-		CtlSettle:   2,
 		CtlHome:     "shfl", // pin: auto would pick sync on a 1-P test runner
 	})
 	if err != nil {

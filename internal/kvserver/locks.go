@@ -9,7 +9,6 @@ import (
 	"shfllock/internal/core"
 	"shfllock/internal/lockreg"
 	"shfllock/internal/lockstat"
-	"shfllock/internal/runtimeq"
 	"shfllock/internal/shuffle"
 )
 
@@ -28,9 +27,8 @@ type ShardLock interface {
 	RUnlock()
 	Lock()
 	Impl() string
-	// Transitions returns the lock's policy-transition record: the
-	// meta-policy's stage log when self-tuning is attached, the lock's own
-	// epoched TransitionLog otherwise, nil when the impl has neither.
+	// Transitions returns the lock's epoched policy-transition record, nil
+	// when the impl has none.
 	Transitions() *shuffle.TransitionLog
 }
 
@@ -65,12 +63,7 @@ var Impls = lockreg.NativeNames()
 // is not an emulation artifact but the semantic difference under test: a
 // waiter that cannot leave the queue still occupies a queue slot after its
 // request gave up, where the abortable locks abandon their node in place.
-// When selfTune is set and the lock runs the epoched transition protocol
-// (CapSelfTuning), a fresh "auto" meta-policy is attached, fed by the same
-// shard site: the lock steers its own shuffling stage from its own
-// interval diffs, and the controller above keeps only the cross-family and
-// lock-shape decisions.
-func NewLock(impl string, site *lockstat.Site, selfTune bool) (ShardLock, error) {
+func NewLock(impl string, site *lockstat.Site) (ShardLock, error) {
 	ent, ok := lockreg.Find(impl)
 	if !ok || !ent.HasNative() {
 		return nil, fmt.Errorf("unknown lock impl %q (have %v)", impl, Impls)
@@ -80,45 +73,13 @@ func NewLock(impl string, site *lockstat.Site, selfTune bool) (ShardLock, error)
 		if err != nil {
 			return nil, err
 		}
-		l := &rwShard{impl: ent.Name, h: h, site: site, probed: attachProbe(h.RWLocker, site)}
-		l.trans = h.TransitionLog
-		if selfTune {
-			if m := attachMeta(ent, h.SetPolicy, site); m != nil {
-				l.trans = m.Log
-			}
-		}
-		return l, nil
+		return &rwShard{impl: ent.Name, h: h, site: site, probed: attachProbe(h.RWLocker, site)}, nil
 	}
 	h, err := ent.NewNative()
 	if err != nil {
 		return nil, err
 	}
-	l := &mutexShard{impl: ent.Name, h: h, site: site, probed: attachProbe(h.Locker, site)}
-	l.trans = h.TransitionLog
-	if selfTune {
-		if m := attachMeta(ent, h.SetPolicy, site); m != nil {
-			l.trans = m.Log
-		}
-	}
-	return l, nil
-}
-
-// attachMeta installs a fresh "auto" meta-policy on a self-tuning lock —
-// the lockstat loop closed one layer below the controller. The shard
-// site's interval diffs become the meta's observations (the meta keeps its
-// own previous-snapshot state, independent of the controller's and the
-// debug endpoint's), runtimeq supplies the live oversubscription verdict
-// for the goro stage, and stage switches run through the lock's epoched
-// transition protocol. Returns nil when the entry cannot self-tune.
-func attachMeta(ent lockreg.Entry, setPolicy func(shuffle.Policy), site *lockstat.Site) *shuffle.Meta {
-	if setPolicy == nil || !ent.Has(lockreg.CapSelfTuning) {
-		return nil
-	}
-	m := shuffle.NewMeta(shuffle.MetaConfig{Goro: true})
-	m.SetSource(lockstat.MetaSource(site, runtimeq.Oversubscribed))
-	m.SetClock(func() uint64 { return uint64(time.Now().UnixNano()) })
-	setPolicy(m)
-	return m
+	return &mutexShard{impl: ent.Name, h: h, site: site, probed: attachProbe(h.Locker, site)}, nil
 }
 
 // attachProbe connects the lock's internal event stream (steals, handoffs,
@@ -139,20 +100,19 @@ type rwShard struct {
 	h      *lockreg.NativeRW
 	site   *lockstat.Site
 	probed bool
-	trans  func() *shuffle.TransitionLog
 }
 
 func (l *rwShard) Impl() string { return l.impl }
 
 func (l *rwShard) Transitions() *shuffle.TransitionLog {
-	if l.trans == nil {
+	if l.h.TransitionLog == nil {
 		return nil
 	}
-	return l.trans()
+	return l.h.TransitionLog()
 }
-func (l *rwShard) Lock()        { l.h.Lock(); l.site.RecordAcquire(0, false) }
-func (l *rwShard) Unlock()      { l.h.Unlock() }
-func (l *rwShard) RUnlock()     { l.h.RUnlock() }
+func (l *rwShard) Lock()    { l.h.Lock(); l.site.RecordAcquire(0, false) }
+func (l *rwShard) Unlock()  { l.h.Unlock() }
+func (l *rwShard) RUnlock() { l.h.RUnlock() }
 
 func (l *rwShard) LockContext(ctx context.Context) error {
 	return l.acquire(ctx, false)
@@ -201,20 +161,19 @@ type mutexShard struct {
 	h      *lockreg.Native
 	site   *lockstat.Site
 	probed bool
-	trans  func() *shuffle.TransitionLog
 }
 
 func (l *mutexShard) Impl() string { return l.impl }
 
 func (l *mutexShard) Transitions() *shuffle.TransitionLog {
-	if l.trans == nil {
+	if l.h.TransitionLog == nil {
 		return nil
 	}
-	return l.trans()
+	return l.h.TransitionLog()
 }
-func (l *mutexShard) Lock()        { l.h.Lock(); l.site.RecordAcquire(0, false) }
-func (l *mutexShard) Unlock()      { l.h.Unlock() }
-func (l *mutexShard) RUnlock()     { l.h.Unlock() }
+func (l *mutexShard) Lock()    { l.h.Lock(); l.site.RecordAcquire(0, false) }
+func (l *mutexShard) Unlock()  { l.h.Unlock() }
+func (l *mutexShard) RUnlock() { l.h.Unlock() }
 
 func (l *mutexShard) LockContext(ctx context.Context) error {
 	return l.acquire(ctx, false)

@@ -42,22 +42,9 @@ type Config struct {
 	MaxValBytes int64         // PUT body cap; 0 means 1MiB
 
 	// Adaptive controller knobs (used when Lock == "adaptive").
+	// The decision thresholds are constants in controller.go.
 	CtlInterval time.Duration // poll interval; 0 means 100ms
-	CtlHiRead   float64       // read fraction at/above which a shard wants RW; 0 means 0.55
-	CtlLoRead   float64       // read fraction at/below which a shard wants mutex; 0 means 0.30
-	CtlHiAbort  float64       // abort fraction at/above which a shard flees to the sync family; 0 means 0.05
-	CtlLoAbort  float64       // abort fraction at/below which it returns to the shfl family; 0 means 0.01
-	CtlSettle   int           // consecutive agreeing intervals before switching; 0 means 2
 	CtlMinOps   uint64        // minimum interval acquisition attempts to act on a shard; 0 means 50
-
-	// SelfTune attaches the "auto" meta-policy to every shard lock that
-	// runs the epoched transition protocol (CapSelfTuning): the lock
-	// steers its own shuffling stage — numa, prio, goro, ablation-base —
-	// from its own site's lockstat interval diffs. With it set, the
-	// adaptive controller delegates the in-family oversubscription
-	// decision to the meta-policy and keeps only the cross-family and
-	// lock-shape axes.
-	SelfTune bool
 
 	// CtlHome picks the controller's home lock family — the one a shard
 	// returns to when abort pressure is gone ("shfl" or "sync"), and the
@@ -132,21 +119,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CtlInterval <= 0 {
 		cfg.CtlInterval = 100 * time.Millisecond
 	}
-	if cfg.CtlHiRead == 0 {
-		cfg.CtlHiRead = 0.55
-	}
-	if cfg.CtlLoRead == 0 {
-		cfg.CtlLoRead = 0.30
-	}
-	if cfg.CtlHiAbort == 0 {
-		cfg.CtlHiAbort = 0.05
-	}
-	if cfg.CtlLoAbort == 0 {
-		cfg.CtlLoAbort = 0.01
-	}
-	if cfg.CtlSettle <= 0 {
-		cfg.CtlSettle = 2
-	}
 	if cfg.CtlMinOps == 0 {
 		cfg.CtlMinOps = 50
 	}
@@ -183,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{cfg: cfg, reg: reg, start: time.Now()}
 	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(impl, reg.Site(siteName(i)), &s.violations, cfg.SelfTune)
+		sh, err := newShard(impl, reg.Site(siteName(i)), &s.violations)
 		if err != nil {
 			return nil, err
 		}
@@ -377,15 +349,15 @@ func overloaded(w http.ResponseWriter) {
 
 // DebugShard is one shard's slice of the /debug/lockstat response.
 type DebugShard struct {
-	Shard     int             `json:"shard"`
-	Impl      string          `json:"impl"`
-	Switches  uint64          `json:"switches"`
-	AcqPerSec float64         `json:"acquires_per_sec"`
-	ReadFrac  float64         `json:"read_frac"`
-	Contended float64         `json:"contended_frac"`
-	WaitP99Us float64         `json:"wait_p99_us"`
-	// Transitions is the tail of the shard lock's policy-transition log
-	// (the meta-policy's stage switches under SelfTune), oldest first.
+	Shard     int     `json:"shard"`
+	Impl      string  `json:"impl"`
+	Switches  uint64  `json:"switches"`
+	AcqPerSec float64 `json:"acquires_per_sec"`
+	ReadFrac  float64 `json:"read_frac"`
+	Contended float64 `json:"contended_frac"`
+	WaitP99Us float64 `json:"wait_p99_us"`
+	// Transitions is the tail of the shard lock's policy-transition log,
+	// oldest first.
 	Transitions []string        `json:"transitions,omitempty"`
 	Report      lockstat.Report `json:"report"`
 }

@@ -55,7 +55,6 @@ type shard struct {
 	box      atomic.Pointer[lockBox]
 	site     *lockstat.Site
 	switches atomic.Uint64
-	selfTune bool // every generation of the shard's lock gets a meta-policy
 
 	// Shard data. Guarded by the current box's lock.
 	data map[string]string
@@ -67,15 +66,14 @@ type shard struct {
 	violations *atomic.Uint64 // server-wide violation counter
 }
 
-func newShard(impl string, site *lockstat.Site, violations *atomic.Uint64, selfTune bool) (*shard, error) {
-	lk, err := NewLock(impl, site, selfTune)
+func newShard(impl string, site *lockstat.Site, violations *atomic.Uint64) (*shard, error) {
+	lk, err := NewLock(impl, site)
 	if err != nil {
 		return nil, err
 	}
 	s := &shard{
 		data:       make(map[string]string),
 		site:       site,
-		selfTune:   selfTune,
 		violations: violations,
 	}
 	b := &lockBox{impl: impl, lk: lk}
@@ -221,7 +219,7 @@ func (s *shard) swapLock(impl string) (bool, error) {
 	if old.impl == impl {
 		return false, nil
 	}
-	lk, err := NewLock(impl, s.site, s.selfTune)
+	lk, err := NewLock(impl, s.site)
 	if err != nil {
 		return false, err
 	}

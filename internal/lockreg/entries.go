@@ -8,10 +8,8 @@ import (
 )
 
 // nativeShfl are the ShflLock-family capabilities shared by the native
-// spin, mutex and goroutine-native deployments. CapSelfTuning rides along
-// because the whole family runs the epoched transition protocol (PolicyBox
-// + TransitionLog), which is what the "auto" meta-policy needs.
-const nativeShfl = CapAbortable | CapPriority | CapPolicy | CapSelfTuning
+// spin, mutex and goroutine-native deployments.
+const nativeShfl = CapAbortable | CapPriority | CapPolicy
 
 // builtinEntries lists every lock with a native substrate. Each dual
 // entry's simName ties it to the simulator implementation of the same

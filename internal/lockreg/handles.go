@@ -46,7 +46,7 @@ type Native struct {
 	Abort            Abortable                     // CapAbortable
 	SetPolicy        func(shuffle.Policy)          // CapPolicy
 	LockWithPriority func(prio uint64)             // CapPriority
-	TransitionLog    func() *shuffle.TransitionLog // CapSelfTuning
+	TransitionLog    func() *shuffle.TransitionLog // CapPolicy
 }
 
 // NativeRW is the readers-writer counterpart of Native.
@@ -55,5 +55,5 @@ type NativeRW struct {
 	Abort            RWAbortable                   // CapAbortable
 	SetPolicy        func(shuffle.Policy)          // CapPolicy
 	LockWithPriority func(prio uint64)             // CapPriority
-	TransitionLog    func() *shuffle.TransitionLog // CapSelfTuning
+	TransitionLog    func() *shuffle.TransitionLog // CapPolicy
 }

@@ -37,18 +37,14 @@ const (
 	CapAbortable
 	// CapPriority: acquisitions can carry a priority (LockWithPriority).
 	CapPriority
-	// CapPolicy: the shuffling policy is pluggable (SetPolicy).
+	// CapPolicy: the shuffling policy is pluggable (SetPolicy) and swaps
+	// live through the epoched transition protocol, with a TransitionLog of
+	// (epoch, from, to, trigger) — so the lock also accepts the "auto"
+	// meta-policy that closes the lockstat loop.
 	CapPolicy
 	// CapGoroGrouped: waiters are grouped by goroutine locality (approximate
 	// P) instead of socket, with oversubscription-aware park budgets.
 	CapGoroGrouped
-	// CapSelfTuning: the lock runs the epoched policy-transition protocol —
-	// live SetPolicy at any instant, a TransitionLog of (epoch, from, to,
-	// trigger) — and therefore accepts the "auto" meta-policy that closes
-	// the lockstat loop.
-	CapSelfTuning
-
-	capAll = CapRW | CapBlocking | CapAbortable | CapPriority | CapPolicy | CapGoroGrouped | CapSelfTuning
 )
 
 // capNames orders the capability letters used in help text and the README
@@ -63,7 +59,6 @@ var capNames = []struct {
 	{CapPriority, "priority"},
 	{CapPolicy, "policy"},
 	{CapGoroGrouped, "goro-grouped"},
-	{CapSelfTuning, "self-tuning"},
 }
 
 // Has reports whether c includes every bit of want.

@@ -62,9 +62,6 @@ var Default = NewRegistry()
 // locks pass straight through and probe events are dropped.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether collection is on.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
-
 // SetHoldSampling records hold time on every n-th acquisition per wrapper
 // (n <= 1 means every acquisition; the default is defaultHoldSampling).
 // Sampling trades hold-time histogram mass for two fewer clock reads on
@@ -120,9 +117,6 @@ func (r *Registry) Reports() []Report {
 	}
 	return out
 }
-
-// Enable turns collection on for the default registry.
-func Enable() { Default.SetEnabled(true) }
 
 // Disable turns collection off for the default registry.
 func Disable() { Default.SetEnabled(false) }

@@ -6,56 +6,35 @@ import (
 	"shfllock/internal/shuffle"
 )
 
-// Meta-policy observer: shuffle.Meta steers on interval activity, not
-// lifetime totals, and this file owns the previous-snapshot state that
-// turns a lifetime Report feed into interval diffs. That closes the
-// lockstat loop — the same Diff the kvserver controller and the
-// /debug/lockstat endpoint consume becomes the self-tuning signal of the
-// lock underneath them.
-
-// ObsFromReport maps one *interval* report (a Diff output) onto the
-// meta-policy's observation schema. Ops counts attempts (acquires +
-// aborts) so an abort storm with few completions still clears the
-// min-ops floor.
-func ObsFromReport(d Report, oversub bool) shuffle.Obs {
-	o := shuffle.Obs{
-		Ops:        d.Acquires + d.Aborts,
-		Aborts:     d.Aborts,
-		Shuffles:   d.Shuffles,
-		ShuffleEff: d.ShuffleEff,
-		Oversub:    oversub,
-	}
-	if o.Ops > 0 {
-		o.AbortFrac = float64(d.Aborts) / float64(o.Ops)
-		o.ParkRate = float64(d.Parks) / float64(o.Ops)
-	}
-	if d.Wait != nil && d.Wait.Count > 0 {
-		o.WaitP50 = d.Wait.Percentile(0.50)
-		o.WaitP99 = d.Wait.Percentile(0.99)
-	}
-	return o
-}
-
-// MetaSourceFrom adapts a lifetime-report snapshot function into the
-// meta-policy's observation feed: each call diffs against the previous
-// snapshot, so Meta sees exactly the activity since its last evaluation.
-// oversub may be nil (reads as never oversubscribed — the simulator's
-// truth). The returned source is safe for concurrent callers, though Meta
+// MetaSource feeds a Site's own lockstat back to its meta-policy. shuffle.Meta
+// steers on interval activity, not lifetime totals, so the returned source
+// owns the previous-snapshot state: each call diffs the site's report
+// against the last one and maps the interval onto the meta-policy's
+// observation schema. That closes the lockstat loop — the same Diff the
+// kvserver controller and the /debug/lockstat endpoint consume becomes the
+// self-tuning signal of the lock underneath them. Ops counts attempts
+// (acquires + aborts) so an abort storm with few completions still clears
+// the min-ops floor. The source is safe for concurrent callers, though Meta
 // serializes evaluations itself.
-func MetaSourceFrom(snap func() Report, oversub func() bool) shuffle.MetaSource {
+func MetaSource(site *Site) shuffle.MetaSource {
 	var mu sync.Mutex
 	var prev Report
 	return func() shuffle.Obs {
 		mu.Lock()
 		defer mu.Unlock()
-		cur := snap()
+		cur := site.Report()
 		d := Diff(prev, cur)
 		prev = cur
-		return ObsFromReport(d, oversub != nil && oversub())
+		o := shuffle.Obs{
+			Ops:        d.Acquires + d.Aborts,
+			Aborts:     d.Aborts,
+			Shuffles:   d.Shuffles,
+			ShuffleEff: d.ShuffleEff,
+		}
+		if o.Ops > 0 {
+			o.AbortFrac = float64(d.Aborts) / float64(o.Ops)
+			o.ParkRate = float64(d.Parks) / float64(o.Ops)
+		}
+		return o
 	}
-}
-
-// MetaSource feeds a Site's own lockstat back to its meta-policy.
-func MetaSource(site *Site, oversub func() bool) shuffle.MetaSource {
-	return MetaSourceFrom(site.Report, oversub)
 }

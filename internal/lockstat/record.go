@@ -28,18 +28,13 @@ func (s *Site) RecordAcquire(waitNs int64, read bool) {
 	s.wait.Record(waitNs)
 }
 
-// RecordHold accounts one sampled hold time. Callers that sample should use
-// HoldEvery to honor the registry's sampling interval.
+// RecordHold accounts one sampled hold time.
 func (s *Site) RecordHold(holdNs int64) {
 	if !s.reg.enabled.Load() {
 		return
 	}
 	s.hold.Record(holdNs)
 }
-
-// HoldEvery returns the registry's hold-sampling interval (record the hold
-// time of every n-th acquisition).
-func (s *Site) HoldEvery() uint64 { return s.reg.holdEach.Load() }
 
 // RecordContended marks one acquisition as contended. Locks carrying a
 // CoreProbe report contention exactly through the probe and must not call

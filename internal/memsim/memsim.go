@@ -85,9 +85,6 @@ type GroupStats struct {
 	MemFetches  uint64 // fetches from DRAM
 }
 
-// Transfers returns the total number of cache-to-cache transfers.
-func (g GroupStats) Transfers() uint64 { return g.LocalXfers + g.RemoteXfers }
-
 func (g *GroupStats) add(o GroupStats) {
 	g.Loads += o.Loads
 	g.Stores += o.Stores
@@ -489,9 +486,6 @@ func (m *Memory) TotalStats() GroupStats {
 	}
 	return t
 }
-
-// Groups returns the allocation tags seen so far.
-func (m *Memory) Groups() []string { return append([]string(nil), m.groupNames...) }
 
 // Footprint returns the number of simulated bytes allocated.
 func (m *Memory) Footprint() uint64 { return uint64(len(m.lines)) * wordsPerLine * 8 }

@@ -20,15 +20,17 @@
 //     queue wait); occasional migrations or collisions merely merge groups
 //     for one acquisition, which costs batching efficiency, never
 //     correctness.
-//   - Procs: GOMAXPROCS, cached and refreshed on a coarse epoch, because
-//     runtime.GOMAXPROCS(0) takes the scheduler lock and is too expensive
-//     per acquisition.
+//   - Procs: GOMAXPROCS, cached and refreshed on a coarse epoch or after a
+//     short staleness bound, because runtime.GOMAXPROCS(0) takes the
+//     scheduler lock and is too expensive per acquisition.
 //   - Oversubscribed: the userspace analog of the kernel patch's
 //     "NrRunning > #cores → park immediately" guard, computed from the
 //     runtime/metrics goroutine count against Procs.
 //
 // Refreshing is driven by Tick, which callers invoke once per contended
-// acquisition: every refreshEpoch-th tick re-reads the runtime. Between
+// acquisition: every refreshEpoch-th tick re-reads the runtime, and so does
+// the first tick after staleAfter has passed since the last re-read, so a
+// lightly contended lock cannot keep a stale view forever. Between
 // refreshes every query is one or two atomic loads.
 package runtimeq
 
@@ -37,6 +39,7 @@ import (
 	"runtime/metrics"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // refreshEpoch is how many Ticks pass between runtime re-reads. Contended
@@ -44,6 +47,11 @@ import (
 // re-reads the runtime many times a second; an idle lock simply keeps the
 // last values, which is fine — nothing is waiting on them.
 const refreshEpoch = 1024
+
+// staleAfter bounds the cache's age by time as well as by ticks: a lock
+// that queues only a few times a second would otherwise wait minutes for
+// its epoch. The check costs one monotonic clock read per Tick.
+const staleAfter = 10 * time.Millisecond
 
 // DefaultOversubFactor is the goroutines-per-P multiple above which the
 // runtime counts as oversubscribed. The kernel guard fires at
@@ -62,6 +70,9 @@ var (
 	oversub  atomic.Bool  // cached goros > factor*procs
 	factor   atomic.Int64
 	override atomic.Int32 // 0 auto, 1 forced oversubscribed, 2 forced not
+	lastRead atomic.Int64 // clockBase offset of the last refresh, ns
+
+	clockBase = time.Now() // time.Since(clockBase) reads the monotonic clock
 
 	refreshMu     sync.Mutex
 	goroutineSamp = []metrics.Sample{{Name: "/sched/goroutines:goroutines"}}
@@ -73,9 +84,17 @@ func init() {
 }
 
 // Tick advances the refresh epoch; callers invoke it once per contended
-// lock acquisition. Cost off the epoch boundary: one atomic add.
+// lock acquisition. It refreshes on the epoch boundary or once the cache is
+// older than staleAfter; the CAS on lastRead lets exactly one of many
+// concurrent tickers take a stale refresh. Cost otherwise: one atomic add
+// and one clock read.
 func Tick() {
 	if ticks.Add(1)%refreshEpoch == 0 {
+		Refresh()
+		return
+	}
+	now := int64(time.Since(clockBase))
+	if last := lastRead.Load(); now-last > int64(staleAfter) && lastRead.CompareAndSwap(last, now) {
 		Refresh()
 	}
 }
@@ -86,6 +105,7 @@ func Tick() {
 func Refresh() {
 	refreshMu.Lock()
 	defer refreshMu.Unlock()
+	lastRead.Store(int64(time.Since(clockBase)))
 	p := int64(runtime.GOMAXPROCS(0))
 	procs.Store(p)
 	metrics.Read(goroutineSamp)
@@ -101,8 +121,8 @@ func Refresh() {
 	oversub.Store(g > factor.Load()*p)
 }
 
-// Procs returns the cached GOMAXPROCS (≥ 1), at most one refresh epoch
-// stale.
+// Procs returns the cached GOMAXPROCS (≥ 1), at most one refresh epoch or
+// one staleAfter bound (whichever a Tick reaches first) stale.
 func Procs() int {
 	if p := procs.Load(); p > 0 {
 		return int(p)

@@ -36,6 +36,30 @@ func TestRefreshTracksGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestTickRefreshesWhenStale: a lock that queues only a handful of times
+// never reaches the tick epoch, so the time bound must carry the update —
+// one Tick after staleAfter has passed re-reads GOMAXPROCS.
+func TestTickRefreshesWhenStale(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	defer func() {
+		runtime.GOMAXPROCS(old)
+		Refresh()
+	}()
+
+	target := 2
+	if old == 2 {
+		target = 3
+	}
+	Refresh()
+	runtime.GOMAXPROCS(target)
+	time.Sleep(2 * staleAfter)
+	Tick()
+	if got := Procs(); got != target {
+		t.Fatalf("Procs() = %d after GOMAXPROCS(%d) and one Tick past the staleness bound, want %d",
+			got, target, target)
+	}
+}
+
 func TestOversubscribedFromGoroutineCount(t *testing.T) {
 	defer Refresh()
 

@@ -7,9 +7,10 @@ import (
 
 // Meta is the self-tuning meta-policy ("auto" in the registry): a composite
 // policy that watches its own lock's lockstat interval diffs and switches
-// between the concrete stages — numa, prio, goro, ablation-base — the same
-// way the kvserver controller switches lock families, but one layer down,
-// so any core or simlocks lock can self-tune without a controller process.
+// between the concrete stages numa and ablation-base through the same
+// Governor the kvserver controller uses to switch lock families, but one
+// layer down, so any core or simlocks lock can self-tune without a
+// controller process.
 //
 // Meta is a Pinner: every walk calls Pin exactly once and runs entirely
 // under the returned stage, so a stage switch is an ordinary epoched
@@ -19,10 +20,10 @@ import (
 // same acquisition sequence evaluates at the same points every run.
 
 // Obs is one interval observation: the signals Meta decides on, extracted
-// from a lockstat interval diff by the observer (see lockstat.MetaObserver).
+// from a lockstat interval diff by the observer (see lockstat.MetaSource).
 type Obs struct {
 	// Ops counts acquisition attempts this interval (acquires + aborts);
-	// below MetaConfig.MinOps the interval is ignored.
+	// below metaMinOps the interval is ignored.
 	Ops uint64
 	// Aborts and AbortFrac describe timeout pressure.
 	Aborts    uint64
@@ -34,12 +35,6 @@ type Obs struct {
 	// round (lockstat.Diff's precomputed ratio).
 	Shuffles   uint64
 	ShuffleEff float64
-	// WaitP50 and WaitP99 are wait-time percentiles in substrate units
-	// (only their ratio is used).
-	WaitP50, WaitP99 float64
-	// Oversub is the live runtime oversubscription verdict. Always false
-	// on the simulator.
-	Oversub bool
 }
 
 // MetaSource produces the next interval observation. The observer owns the
@@ -48,94 +43,47 @@ type Obs struct {
 // never simulated memory, and must not consult wall clocks.
 type MetaSource func() Obs
 
-// MetaConfig tunes the decision ladder. Zero values select the defaults.
-type MetaConfig struct {
-	// EvalEvery is the pin-count cadence between evaluations (default 256):
+// The decision ladder's thresholds. The settle count and the absolute
+// abort floor live in governor.go, shared with the kvserver controller.
+const (
+	// metaEvalEvery is the pin-count cadence between evaluations:
 	// evaluation cost and reaction latency trade off here.
-	EvalEvery uint64
-	// MinOps ignores intervals with fewer attempts (default 32).
-	MinOps uint64
-	// Settle is the hysteresis: how many consecutive intervals must lean
-	// toward the same stage before switching (default 2).
-	Settle int
-	// HiAbort/MinAborts enter the abort-storm regime (defaults 0.25 / 8;
-	// the absolute floor mirrors the kvserver controller's ctlMinAborts so
-	// one unlucky timeout on a quiet lock cannot flap the stage).
-	HiAbort   float64
-	MinAborts uint64
-	// LoAbort is the calm threshold for leaving the storm regime (0.05).
-	LoAbort float64
-	// LoEff/MinShuffles flee to ablation-base when shuffling ran but
-	// grouped almost no wakes (defaults 0.05 / 16).
-	LoEff       float64
-	MinShuffles uint64
-	// LoPark is the park rate under which ablation-base returns home:
+	metaEvalEvery = 256
+	// metaMinOps ignores intervals with fewer attempts.
+	metaMinOps = 32
+	// metaHiAbort enters the abort-storm regime (see Storm);
+	// metaLoAbort is the calm threshold for leaving it.
+	metaHiAbort = 0.25
+	metaLoAbort = 0.05
+	// metaLoEff/metaMinShuffles flee to ablation-base when shuffling ran
+	// but grouped almost no wakes.
+	metaLoEff       = 0.05
+	metaMinShuffles = 16
+	// metaLoPark is the park rate under which ablation-base returns home:
 	// at base no shuffling runs, so efficiency is unmeasurable and park
-	// pressure is the recovery signal (default 0.01).
-	LoPark float64
-	// HiTail enables the prio stage: switch when WaitP99 >= HiTail*WaitP50
-	// (default 0 = prio disabled; priorities only help workloads that set
-	// them).
-	HiTail float64
-	// Goro enables the goro stage under oversubscription. Native substrate
-	// only — the goro policy reads live runtime state.
-	Goro bool
-}
-
-func (c MetaConfig) withDefaults() MetaConfig {
-	if c.EvalEvery == 0 {
-		c.EvalEvery = 256
-	}
-	if c.MinOps == 0 {
-		c.MinOps = 32
-	}
-	if c.Settle == 0 {
-		c.Settle = 2
-	}
-	if c.HiAbort == 0 {
-		c.HiAbort = 0.25
-	}
-	if c.MinAborts == 0 {
-		c.MinAborts = 8
-	}
-	if c.LoAbort == 0 {
-		c.LoAbort = 0.05
-	}
-	if c.LoEff == 0 {
-		c.LoEff = 0.05
-	}
-	if c.MinShuffles == 0 {
-		c.MinShuffles = 16
-	}
-	if c.LoPark == 0 {
-		c.LoPark = 0.01
-	}
-	return c
-}
+	// pressure is the recovery signal.
+	metaLoPark = 0.01
+)
 
 // Meta implements Policy and Pinner. The unpinned Policy methods delegate
 // to the current stage one call at a time — safe but tearable, so every
 // lock-layer call site pins first; the delegation exists only so a Meta is
 // a valid Policy wherever one is accepted.
 type Meta struct {
-	cfg  MetaConfig
 	box  PolicyBox // current stage; its log is the meta's transition record
 	pins atomic.Uint64
 
-	mu   sync.Mutex // serializes evaluation and guards src/now/lean
-	src  MetaSource
-	now  func() uint64
-	lean struct {
-		want  string
-		count int
-	}
+	mu  sync.Mutex // serializes evaluation and guards src/now/gov
+	src MetaSource
+	now func() uint64
+	gov Governor
 }
 
 // NewMeta builds a self-tuning policy starting at the numa stage. Attach an
 // observation source with SetSource; without one it behaves exactly like
 // NUMA() forever.
-func NewMeta(cfg MetaConfig) *Meta {
-	m := &Meta{cfg: cfg.withDefaults()}
+func NewMeta() *Meta {
+	m := &Meta{}
 	m.box.Set(NUMA(), "init", 0)
 	return m
 }
@@ -158,12 +106,12 @@ func (m *Meta) SetClock(now func() uint64) {
 }
 
 // Pin returns the stage for exactly one walk, and is the evaluation
-// heartbeat: every EvalEvery-th pin runs the decision ladder. TryLock keeps
-// concurrent pinners from stacking up behind an evaluation — losing a beat
-// is harmless, blocking a shuffler is not.
+// heartbeat: every metaEvalEvery-th pin runs the decision ladder. TryLock
+// keeps concurrent pinners from stacking up behind an evaluation — losing a
+// beat is harmless, blocking a shuffler is not.
 func (m *Meta) Pin() Policy {
 	n := m.pins.Add(1)
-	if n%m.cfg.EvalEvery == 0 && m.mu.TryLock() {
+	if n%metaEvalEvery == 0 && m.mu.TryLock() {
 		m.evaluate()
 		m.mu.Unlock()
 	}
@@ -189,44 +137,23 @@ func (m *Meta) evaluate() {
 		return
 	}
 	o := m.src()
-	if o.Ops < m.cfg.MinOps {
-		m.lean.want, m.lean.count = "", 0
-		return
-	}
 	want, why := m.decide(o)
-	cur := m.stage().Name()
-	if want == cur {
-		m.lean.want, m.lean.count = "", 0
+	if !m.gov.Vote(o.Ops, metaMinOps, want, m.stage().Name()) {
 		return
 	}
-	next := ByName(want)
-	if next == nil {
-		return
-	}
-	if m.lean.want != want {
-		m.lean.want, m.lean.count = want, 0
-	}
-	m.lean.count++
-	if m.lean.count < m.cfg.Settle {
-		return
-	}
-	m.lean.want, m.lean.count = "", 0
 	var at uint64
 	if m.now != nil {
 		at = m.now()
 	}
-	m.box.Set(next, "meta:"+why, at)
+	m.box.Set(ByName(want), "meta:"+why, at)
 }
 
 // decide is the ladder, most urgent regime first. Recovery needs no extra
 // rules: when nothing urgent holds, the answer is the home stage (numa),
-// so goro/prio/base all drain back once their trigger clears.
+// so ablation-base drains back once its trigger clears.
 func (m *Meta) decide(o Obs) (want, why string) {
 	cur := m.stage().Name()
-	if m.cfg.Goro && o.Oversub {
-		return "goro", "oversubscribed"
-	}
-	if o.Aborts >= m.cfg.MinAborts && o.AbortFrac >= m.cfg.HiAbort {
+	if Storm(o.Aborts, o.AbortFrac, metaHiAbort) {
 		// Abort storms: every reclaim is queue surgery; stop shuffling and
 		// let the grant walk do the minimum (the Fissile lesson — switch
 		// regimes rather than tune the doomed one).
@@ -235,16 +162,13 @@ func (m *Meta) decide(o Obs) (want, why string) {
 	if cur == "ablation-base" {
 		// No shuffling runs at base, so efficiency is unmeasurable here;
 		// recover on calm park/abort pressure instead.
-		if o.ParkRate <= m.cfg.LoPark && o.AbortFrac <= m.cfg.LoAbort {
+		if o.ParkRate <= metaLoPark && o.AbortFrac <= metaLoAbort {
 			return "numa", "calm"
 		}
 		return cur, "hold"
 	}
-	if o.ParkRate > 0 && o.Shuffles >= m.cfg.MinShuffles && o.ShuffleEff <= m.cfg.LoEff {
+	if o.ParkRate > 0 && o.Shuffles >= metaMinShuffles && o.ShuffleEff <= metaLoEff {
 		return "ablation-base", "low-shuffle-eff"
-	}
-	if m.cfg.HiTail > 0 && o.WaitP50 > 0 && o.WaitP99 >= m.cfg.HiTail*o.WaitP50 {
-		return "prio", "tail-inversion"
 	}
 	return "numa", "calm"
 }
@@ -260,5 +184,5 @@ func (m *Meta) Match(c Ctx) bool               { return m.stage().Match(c) }
 func (m *Meta) WakeGrouped(blocking bool) bool { return m.stage().WakeGrouped(blocking) }
 
 func init() {
-	RegisterFactory("auto", func() Policy { return NewMeta(MetaConfig{}) })
+	RegisterFactory("auto", func() Policy { return NewMeta() })
 }

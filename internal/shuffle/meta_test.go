@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// metaDriver feeds a Meta a script of observations and pins once per
-// evaluation beat (EvalEvery=1 makes every pin a beat).
+// metaDriver feeds a Meta a script of observations; the tests run one
+// evaluation per interval through step instead of waiting out the pin
+// cadence.
 type metaDriver struct {
 	mu     sync.Mutex
 	script []Obs
@@ -23,12 +24,20 @@ func (d *metaDriver) next() Obs {
 	return o
 }
 
-func newTestMeta(cfg MetaConfig, script ...Obs) (*Meta, *metaDriver) {
-	cfg.EvalEvery = 1
-	m := NewMeta(cfg)
+func newTestMeta(script ...Obs) (*Meta, *metaDriver) {
+	m := NewMeta()
 	d := &metaDriver{script: script}
 	m.SetSource(d.next)
 	return m, d
+}
+
+// step runs n evaluation beats, as every metaEvalEvery-th Pin would.
+func step(m *Meta, n int) {
+	for i := 0; i < n; i++ {
+		m.mu.Lock()
+		m.evaluate()
+		m.mu.Unlock()
+	}
 }
 
 // calm is an interval with plenty of traffic and nothing urgent.
@@ -36,37 +45,25 @@ func calm() Obs {
 	return Obs{Ops: 1000, ParkRate: 0.2, Shuffles: 100, ShuffleEff: 0.8}
 }
 
-// TestMetaDecisionLadder walks each regime trigger through Pin and asserts
-// the stage the meta settles on (Settle=1 so one interval decides).
+// TestMetaDecisionLadder walks each regime trigger through the evaluation
+// beat and asserts the stage the meta settles on; every interval repeats, so
+// the governor's settle count is met.
 func TestMetaDecisionLadder(t *testing.T) {
 	cases := []struct {
 		name  string
-		cfg   MetaConfig
 		obs   Obs
 		stage string
 	}{
-		{"calm-holds-numa", MetaConfig{Settle: 1}, calm(), "numa"},
-		{"abort-storm-to-base", MetaConfig{Settle: 1},
+		{"calm-holds-numa", calm(), "numa"},
+		{"abort-storm-to-base",
 			Obs{Ops: 1000, Aborts: 400, AbortFrac: 0.4, ParkRate: 0.2}, "ablation-base"},
-		{"low-eff-to-base", MetaConfig{Settle: 1},
+		{"low-eff-to-base",
 			Obs{Ops: 1000, ParkRate: 0.3, Shuffles: 100, ShuffleEff: 0.01}, "ablation-base"},
-		{"tail-inversion-to-prio", MetaConfig{Settle: 1, HiTail: 10},
-			Obs{Ops: 1000, ParkRate: 0.2, Shuffles: 100, ShuffleEff: 0.8, WaitP50: 100, WaitP99: 5000}, "prio"},
-		{"prio-disabled-by-default", MetaConfig{Settle: 1},
-			Obs{Ops: 1000, ParkRate: 0.2, Shuffles: 100, ShuffleEff: 0.8, WaitP50: 100, WaitP99: 5000}, "numa"},
-		{"oversub-to-goro", MetaConfig{Settle: 1, Goro: true},
-			Obs{Ops: 1000, Oversub: true}, "goro"},
-		{"oversub-ignored-without-goro", MetaConfig{Settle: 1},
-			Obs{Ops: 1000, Oversub: true, ParkRate: 0.2, Shuffles: 100, ShuffleEff: 0.8}, "numa"},
-		{"abort-storm-beats-tail", MetaConfig{Settle: 1, HiTail: 10},
-			Obs{Ops: 1000, Aborts: 300, AbortFrac: 0.3, WaitP50: 100, WaitP99: 5000}, "ablation-base"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, _ := newTestMeta(tc.cfg, tc.obs)
-			for i := 0; i < 4; i++ {
-				m.Pin()
-			}
+			m, _ := newTestMeta(tc.obs)
+			step(m, 4)
 			if got := m.Pin().Name(); got != tc.stage {
 				t.Fatalf("settled on %q, want %q\nlog:\n%s", got, tc.stage, m.Log().String())
 			}
@@ -78,11 +75,8 @@ func TestMetaDecisionLadder(t *testing.T) {
 // pressure calm down the meta returns to numa, and the round trip is two
 // recorded transitions past the boot install.
 func TestMetaRecovery(t *testing.T) {
-	m, d := newTestMeta(MetaConfig{Settle: 1},
-		Obs{Ops: 1000, Aborts: 400, AbortFrac: 0.4, ParkRate: 0.2})
-	for i := 0; i < 4; i++ {
-		m.Pin()
-	}
+	m, d := newTestMeta(Obs{Ops: 1000, Aborts: 400, AbortFrac: 0.4, ParkRate: 0.2})
+	step(m, 4)
 	if got := m.Pin().Name(); got != "ablation-base" {
 		t.Fatalf("storm did not reach ablation-base (at %q)", got)
 	}
@@ -90,9 +84,7 @@ func TestMetaRecovery(t *testing.T) {
 	d.script = []Obs{{Ops: 1000, ParkRate: 0.001, AbortFrac: 0.01}}
 	d.i = 0
 	d.mu.Unlock()
-	for i := 0; i < 4; i++ {
-		m.Pin()
-	}
+	step(m, 4)
 	if got := m.Pin().Name(); got != "numa" {
 		t.Fatalf("calm did not recover to numa (at %q)", got)
 	}
@@ -101,24 +93,20 @@ func TestMetaRecovery(t *testing.T) {
 	}
 }
 
-// TestMetaHysteresis: with Settle=2 a single urgent interval must not
-// switch; the second consecutive one does. An interval that votes "stay"
+// TestMetaHysteresis: a single urgent interval must not switch (the
+// governor settles at 2); the second consecutive one does. An interval that votes "stay"
 // in between resets the streak.
 func TestMetaHysteresis(t *testing.T) {
 	storm := Obs{Ops: 1000, Aborts: 400, AbortFrac: 0.4, ParkRate: 0.2}
 
-	m, _ := newTestMeta(MetaConfig{Settle: 2}, storm, calm(), storm, calm())
-	for i := 0; i < 4; i++ {
-		m.Pin()
-	}
+	m, _ := newTestMeta(storm, calm(), storm, calm())
+	step(m, 4)
 	if got := m.Pin().Name(); got != "numa" {
 		t.Fatalf("interleaved storm intervals switched the stage to %q; settle=2 requires consecutive votes", got)
 	}
 
-	m, _ = newTestMeta(MetaConfig{Settle: 2}, storm, storm, storm)
-	for i := 0; i < 4; i++ {
-		m.Pin()
-	}
+	m, _ = newTestMeta(storm, storm, storm)
+	step(m, 4)
 	if got := m.Pin().Name(); got != "ablation-base" {
 		t.Fatalf("two consecutive storm intervals settled on %q, want ablation-base", got)
 	}
@@ -128,12 +116,10 @@ func TestMetaHysteresis(t *testing.T) {
 // the stage nor keep a leaning streak alive.
 func TestMetaMinOpsFloor(t *testing.T) {
 	quietStorm := Obs{Ops: 10, Aborts: 9, AbortFrac: 0.9}
-	m, _ := newTestMeta(MetaConfig{Settle: 1}, quietStorm)
-	for i := 0; i < 8; i++ {
-		m.Pin()
-	}
+	m, _ := newTestMeta(quietStorm)
+	step(m, 8)
 	if got := m.Pin().Name(); got != "numa" {
-		t.Fatalf("a %d-op interval switched the stage to %q; MinOps floor is 32", quietStorm.Ops, got)
+		t.Fatalf("a %d-op interval switched the stage to %q; the min-ops floor is 32", quietStorm.Ops, got)
 	}
 	if m.Epoch() != 1 {
 		t.Fatalf("epoch moved to %d on sub-floor intervals", m.Epoch())
@@ -143,11 +129,8 @@ func TestMetaMinOpsFloor(t *testing.T) {
 // TestMetaAbortFloor: the absolute MinAborts floor keeps one unlucky
 // timeout on a busy lock from reading as a storm.
 func TestMetaAbortFloor(t *testing.T) {
-	m, _ := newTestMeta(MetaConfig{Settle: 1},
-		Obs{Ops: 100, Aborts: 4, AbortFrac: 0.3, ParkRate: 0.2, Shuffles: 100, ShuffleEff: 0.8})
-	for i := 0; i < 4; i++ {
-		m.Pin()
-	}
+	m, _ := newTestMeta(Obs{Ops: 100, Aborts: 4, AbortFrac: 0.3, ParkRate: 0.2, Shuffles: 100, ShuffleEff: 0.8})
+	step(m, 4)
 	if got := m.Pin().Name(); got != "numa" {
 		t.Fatalf("4 aborts switched the stage to %q; MinAborts floor is 8", got)
 	}
@@ -155,12 +138,12 @@ func TestMetaAbortFloor(t *testing.T) {
 
 // TestMetaTransitionsRecorded: stage switches land in the meta's log with
 // the meta:<signal> trigger, so post-mortems can tell self-tuning from api
-// and chaos transitions.
+// and chaos transitions; the pin heartbeat alone drives the evaluation.
 func TestMetaTransitionsRecorded(t *testing.T) {
-	m, _ := newTestMeta(MetaConfig{Settle: 1},
-		Obs{Ops: 1000, Aborts: 400, AbortFrac: 0.4})
+	m, _ := newTestMeta(Obs{Ops: 1000, Aborts: 400, AbortFrac: 0.4})
 	m.SetClock(func() uint64 { return 99 })
-	for i := 0; i < 4; i++ {
+	// Through Pin this time: every metaEvalEvery-th pin is a beat.
+	for i := 0; i < 2*metaEvalEvery; i++ {
 		m.Pin()
 	}
 	tail := m.Log().Tail(1)

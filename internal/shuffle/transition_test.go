@@ -103,7 +103,7 @@ func TestPinIdentity(t *testing.T) {
 			t.Fatalf("plain policy %q did not pin to itself", name)
 		}
 	}
-	m := NewMeta(MetaConfig{})
+	m := NewMeta()
 	got := Pin(m)
 	if got == Policy(m) {
 		t.Fatal("Meta pinned to itself; a walk would re-read stages mid-round")

@@ -129,8 +129,6 @@ type Engine struct {
 
 	// injector, when non-nil, receives fault-injection queries (chaos runs).
 	injector Injector
-	// abortReason is set by Abort when a watchdog ends the run early.
-	abortReason string
 
 	// Counters of scheduler activity, reported by experiments.
 	Preemptions uint64

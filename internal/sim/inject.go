@@ -63,20 +63,16 @@ func (e *Engine) SetInjector(i Injector) { e.injector = i }
 // Injector returns the installed fault injector, or nil.
 func (e *Engine) Injector() Injector { return e.injector }
 
-// Abort ends the run from inside a thread: Run returns immediately with the
-// given reason recorded, leaving every other thread frozen where it stands.
+// Abort ends the run from inside a thread: Run returns immediately, leaving
+// every other thread frozen where it stands.
 // This is the escape hatch for watchdogs that detect a deadlock or
 // starvation the simulation would otherwise hang on — the frozen state is
 // exactly what Dump then reports. The calling thread must not execute any
 // further engine operations; it should block forever (select{}).
-func (e *Engine) Abort(reason string) {
-	e.abortReason = reason
+func (e *Engine) Abort() {
 	e.stopped = true
 	e.done <- struct{}{}
 }
-
-// AbortReason returns the reason passed to Abort, or "" for a normal run.
-func (e *Engine) AbortReason() string { return e.abortReason }
 
 // Dump renders the scheduler state — live threads, per-core run queues,
 // pending events — for watchdog reports and tooling. Deterministic for a

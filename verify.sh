@@ -51,6 +51,12 @@ go test $SHORT ./...
 echo "== go test -race ./internal/core/...  (incl. steal-path liveness)"
 go test -race $SHORT ./internal/core/...
 
+echo "== single-P cache gate: runtime cache follows GOMAXPROCS at 1 and 2 Ps"
+# The cached P count (internal/runtimeq) must follow a GOMAXPROCS change
+# whatever the core count of the box running the suite, so the tests that
+# pin it run at both P counts.
+go test -count=1 -cpu 1,2 -run 'SingleP|Refresh' ./internal/core ./internal/runtimeq
+
 echo "== differential shuffle gate: one engine, two substrates"
 go test -race -run 'TestDifferentialShuffle' ./internal/core
 
