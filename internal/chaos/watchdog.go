@@ -68,7 +68,7 @@ func (w *Watchdog) Report() string { return w.report }
 
 // Run is the watchdog thread body; spawn it alongside the workers. It
 // exits quietly when every worker finishes, and never returns after
-// firing (the engine is aborted and the thread parks forever).
+// firing (Abort ends the run without resuming this thread).
 func (w *Watchdog) Run(t *sim.Thread) {
 	for w.live > 0 {
 		t.Delay(w.interval)
@@ -120,5 +120,4 @@ func (w *Watchdog) fire(t *sim.Thread, worker int, age uint64) {
 	w.report = b.String()
 
 	w.eng.Abort()
-	select {} // the engine is gone; freeze alongside the threads it left
 }

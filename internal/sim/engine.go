@@ -1,10 +1,12 @@
 // Package sim is a deterministic discrete-event simulator of a NUMA
 // multiprocessor. Simulated threads are ordinary Go functions that run as
-// goroutines, but the engine executes exactly one of them at a time: a
-// blocking thread runs the event loop on its own goroutine and hands
-// control to the next thread over a channel (or, on the fast paths, keeps
-// running in place). All simulator state is therefore mutated race-free and
-// every run is bit-reproducible for a given seed.
+// iter.Pull coroutines, and the engine executes exactly one of them at a
+// time: a blocking thread runs the event loop on its own coroutine, then
+// either keeps running in place (its own event was next) or yields the
+// next thread to the hub loop in Run, which resumes that thread's
+// coroutine. A coroutine switch never goes through the Go scheduler's run
+// queues. All simulator state is therefore mutated race-free and every run
+// is bit-reproducible for a given seed.
 //
 // Threads interact with the machine through the Thread API: typed atomic
 // operations on simulated memory words (charged by the memsim cost model),
@@ -16,7 +18,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -36,8 +40,8 @@ type Config struct {
 	// HardStop aborts the simulation (panic) if virtual time exceeds this
 	// bound; it guards against livelocked protocols. Zero disables it.
 	HardStop uint64
-	// NoFastPath forces every virtual-time advance through the event queue
-	// and the engine goroutine (the -enginefast=false mode). The fast path
+	// NoFastPath forces every virtual-time advance and every CPU handoff
+	// through the event queue (the -enginefast=false mode). The fast path
 	// is on by default; results are identical either way — the slow path
 	// survives as the correctness oracle the differential tests diff
 	// against.
@@ -50,10 +54,10 @@ type Config struct {
 }
 
 // PathStats counts how control returned to threads: in place (fast path)
-// or through a full event-queue round trip on the engine goroutine.
+// or through a full event-queue round trip.
 type PathStats struct {
 	// FastResumes counts charge steps absorbed by advancing the clock in
-	// place — no event, no goroutine switch.
+	// place — no event, no coroutine switch.
 	FastResumes uint64 `json:"fast_resumes"`
 	// FastHandoffs counts CPU handoffs (resched, park, wake-dispatch) that
 	// bypassed the event queue.
@@ -103,10 +107,15 @@ type Engine struct {
 	cpus     []cpu
 
 	threads []*Thread
-	live    int
+	// nexts holds each thread's coroutine resume func, indexed by thread
+	// id: the hub loop in Run calls nexts[t.id] to hand t the CPU.
+	nexts []func() (*Thread, bool)
+	live  int
 
-	done    chan struct{} // the last finishing thread signals Run here
 	running *Thread
+	// handTo is where a finished thread's coroutine records the thread it
+	// handed the CPU to (nil when the run is over) before returning.
+	handTo *Thread
 
 	// watchq holds, per cache line, the threads spin-waiting on it, in
 	// registration order. The slices are pooled in place: onWrite truncates
@@ -143,9 +152,9 @@ type Engine struct {
 // enginePool and threadPool recycle the per-sweep-point scheduler state
 // (the wheel's slot arrays are pooled separately in wheelScratch). The reset
 // functions keep only backing that is safe and profitable to reuse: the
-// watch table's per-line slices, the thread/cpu arrays, the done channel
-// (always drained when a run completes) and the rand generators, which are
-// reseeded from scratch on reuse so draw order matches a fresh allocation.
+// watch table's per-line slices, the thread/cpu/coroutine arrays and the
+// rand generators, which are reseeded from scratch on reuse so draw order
+// matches a fresh allocation.
 // Only wheel-mode engines touch the pools; NoWheel is the plain-heap oracle.
 var enginePool = arena.New(func(e *Engine) {
 	watchq := e.watchq
@@ -153,18 +162,19 @@ var enginePool = arena.New(func(e *Engine) {
 		watchq[i] = watchq[i][:0]
 	}
 	clear(e.assoc)
+	clear(e.nexts)
 	*e = Engine{
 		watchq:  watchq,
 		assoc:   e.assoc,
 		threads: e.threads[:0],
+		nexts:   e.nexts[:0],
 		cpus:    e.cpus[:0],
-		done:    e.done,
 		rng:     e.rng,
 	}
 })
 
 var threadPool = arena.New(func(t *Thread) {
-	*t = Thread{resume: t.resume, rng: t.rng}
+	*t = Thread{rng: t.rng}
 })
 
 // NewEngine builds an engine for the given machine.
@@ -203,9 +213,6 @@ func NewEngine(cfg Config) *Engine {
 	e.fast = !cfg.NoFastPath
 	e.useWheel = !cfg.NoWheel
 	e.minAt = noEvent
-	if e.done == nil {
-		e.done = make(chan struct{}, 1)
-	}
 	cores := cfg.Topo.Cores()
 	if cap(e.cpus) >= cores {
 		e.cpus = e.cpus[:cores]
@@ -221,13 +228,13 @@ func NewEngine(cfg Config) *Engine {
 
 // Recycle hands the engine's scheduler state, its threads and its memory
 // image back to the per-point arena pools. It must be called only after Run
-// has returned cleanly with every thread finished: an aborted or panicked
-// run can leave thread goroutines parked forever on their resume channels,
-// and recycling such a thread would let a future engine's handoff race the
-// leaked goroutine for the same channel. The live==0 guard makes Recycle a
-// no-op in exactly those cases, as it is in NoWheel (oracle) mode. The
-// caller must hold no references into the engine, its memory or its threads
-// afterwards.
+// has returned cleanly with every thread finished, so every coroutine has
+// returned. An aborted or panicked run leaves unfinished coroutines
+// suspended for good, still pointing at their threads and at the engine;
+// recycling those would hand live references to a future run. The live==0
+// guard makes Recycle a no-op in exactly those cases, as it is in NoWheel
+// (oracle) mode. The caller must hold no references into the engine, its
+// memory or its threads afterwards.
 func (e *Engine) Recycle() {
 	if !e.useWheel || !e.started || e.live != 0 {
 		return
@@ -299,7 +306,7 @@ func (e *Engine) Spawn(name string, core int, fn func(*Thread)) *Thread {
 	}
 	var t *Thread
 	if e.useWheel {
-		t = threadPool.Get() // reset at Put: zero but for resume and rng
+		t = threadPool.Get() // reset at Put: zero but for rng
 	} else {
 		t = &Thread{}
 	}
@@ -309,9 +316,6 @@ func (e *Engine) Spawn(name string, core int, fn func(*Thread)) *Thread {
 	t.cpu = &e.cpus[core]
 	t.state = tsReady
 	t.watchLine = -1
-	if t.resume == nil {
-		t.resume = make(chan struct{})
-	}
 	if seed := e.rng.Int63(); t.rng == nil {
 		t.rng = rand.New(rand.NewSource(seed))
 	} else {
@@ -320,7 +324,22 @@ func (e *Engine) Spawn(name string, core int, fn func(*Thread)) *Thread {
 	e.threads = append(e.threads, t)
 	e.live++
 	t.cpu.enqueue(t)
-	go t.run(fn)
+	next, _ := iter.Pull(func(yield func(*Thread) bool) {
+		// iter.Pull re-raises a coroutine's panic in Run with the value
+		// alone; keep the thread's stack so the failing line is reported.
+		defer func() {
+			if p := recover(); p != nil {
+				panic(fmt.Sprintf("%v\n\nsim: panic in thread %d %q:\n%s", p, t.id, t.name, debug.Stack()))
+			}
+		}()
+		t.yield = yield
+		fn(t)
+		e.threadDone(t)
+		// Keep driving the event loop from this coroutine until control
+		// lands on another thread (or the run is over), then tell the hub.
+		e.handTo = e.schedule(nil)
+	})
+	e.nexts = append(e.nexts, next)
 	return t
 }
 
@@ -367,8 +386,14 @@ func (e *Engine) pending() int {
 	return len(e.evq)
 }
 
-// Run executes the simulation until every thread has finished. It panics on
-// deadlock (live threads but no pending events) and on HardStop overrun.
+// Run executes the simulation until every thread has finished or a thread
+// calls Abort. It panics on deadlock (live threads but no pending events)
+// and on HardStop overrun, and a panic inside a thread's function reaches
+// Run's caller the same way.
+//
+// Run is the hub: it resumes one thread coroutine at a time and waits for
+// it to yield the thread that runs next. A coroutine that finishes records
+// that thread in handTo instead.
 func (e *Engine) Run() {
 	if e.started {
 		panic("sim: Run called twice")
@@ -381,25 +406,28 @@ func (e *Engine) Run() {
 			c.dispatchNext(e)
 		}
 	}
-	e.schedule(nil)
-	<-e.done
+	for t := e.schedule(nil); t != nil; {
+		next, ok := e.nexts[t.id]()
+		if !ok {
+			next = e.handTo
+		}
+		t = next
+	}
 	// The simulation is over: hand the wheel's slot arrays back to the
 	// pool (recycle clears any stale leftover events first). Panicking
 	// paths skip this, so their diagnostics still see the queue.
 	e.wheel.recycle()
 }
 
-// schedule runs the event loop until control is handed to a thread (or the
-// simulation completes). It executes on whichever goroutine is giving up
-// control — the blocking thread itself — so a slow-path transfer costs one
-// goroutine switch, thread to thread, instead of a round trip through a
-// dedicated scheduler goroutine. self is the blocking thread (nil from Run
-// and from a finished thread); when the next event resumes self, schedule
-// skips the channel handshake entirely and the caller just keeps running.
-// Returns the thread control was handed to.
+// schedule runs the event loop until control is handed to a thread, and
+// returns that thread, or nil when every thread has finished. It executes
+// on whichever coroutine is giving up control — the blocking thread itself
+// — so when the next event resumes that very thread (self; nil from Run
+// and from a finished thread) there is no switch at all: the caller just
+// keeps running. Otherwise the caller passes the returned thread to the
+// hub, which resumes it.
 func (e *Engine) schedule(self *Thread) *Thread {
 	if e.live == 0 {
-		e.done <- struct{}{}
 		return nil
 	}
 	for {
@@ -423,7 +451,7 @@ func (e *Engine) schedule(self *Thread) *Thread {
 				continue // stale
 			}
 			e.paths.EngineTrips++
-			e.handoff(t, self)
+			e.handoff(t)
 			return t
 		case evPreempt:
 			t := ev.t
@@ -435,14 +463,14 @@ func (e *Engine) schedule(self *Thread) *Thread {
 			// its quantum, so the thread's next scheduling check parks,
 			// yields, or rescheds it (kernel-style preemption point).
 			e.paths.EngineTrips++
-			e.handoff(t, self)
+			e.handoff(t)
 			return t
 		case evWake:
 			t := ev.t
 			if t.epoch != ev.epoch || t.state != tsWaking {
 				continue
 			}
-			if next := e.makeRunnable(t, self); next != nil {
+			if next := e.makeRunnable(t); next != nil {
 				return next
 			}
 		case evTimerWake:
@@ -453,17 +481,16 @@ func (e *Engine) schedule(self *Thread) *Thread {
 			if t.epoch != ev.epoch || t.state != tsParked {
 				continue
 			}
-			if next := e.makeRunnable(t, self); next != nil {
+			if next := e.makeRunnable(t); next != nil {
 				return next
 			}
 		}
 	}
 }
 
-// handoff gives the CPU to t. When t is the very goroutine executing the
-// event loop (self), the channel handshake is skipped: the caller returns
-// from schedule and simply continues running.
-func (e *Engine) handoff(t, self *Thread) {
+// handoff gives the CPU to t; the caller of schedule switches to t's
+// coroutine unless t is itself.
+func (e *Engine) handoff(t *Thread) {
 	t.epoch++
 	if t.state == tsSpinWait {
 		// Woken by a write to the watched line: account the time spent
@@ -476,9 +503,6 @@ func (e *Engine) handoff(t, self *Thread) {
 	}
 	t.state = tsRunning
 	e.running = t
-	if t != self {
-		t.resume <- struct{}{}
-	}
 }
 
 // fastCovers reports whether the queue-top invariant licenses advancing
@@ -507,7 +531,7 @@ func (e *Engine) fastAdvance(step uint64) {
 // whose quantum has expired. Returns the thread control was handed to when
 // the idle-core dispatch took the fast path, nil otherwise (the event loop
 // keeps running).
-func (e *Engine) makeRunnable(t, self *Thread) *Thread {
+func (e *Engine) makeRunnable(t *Thread) *Thread {
 	t.state = tsReady
 	t.epoch++
 	c := t.cpu
@@ -524,9 +548,6 @@ func (e *Engine) makeRunnable(t, self *Thread) *Thread {
 			next.epoch++
 			next.state = tsRunning
 			e.running = next
-			if next != self {
-				next.resume <- struct{}{}
-			}
 			return next
 		}
 		c.dispatchNext(e)
@@ -577,8 +598,8 @@ func (e *Engine) onWrite(line int32) {
 	}
 }
 
-// threadDone is called (from the thread goroutine) when a thread's function
-// returns.
+// threadDone is called (from the thread's coroutine) when a thread's
+// function returns.
 func (e *Engine) threadDone(t *Thread) {
 	t.state = tsDone
 	t.epoch++

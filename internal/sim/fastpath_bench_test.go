@@ -9,7 +9,7 @@ import (
 
 // benchCharge times the engine's hottest edge: a sole thread charging many
 // small steps. With the fast path every step is an in-place clock advance;
-// without it every step is an event push plus a goroutine handoff.
+// without it every step is an event push plus an event-loop trip.
 func benchCharge(b *testing.B, noFast bool) {
 	e := NewEngine(Config{Topo: topology.Laptop(), Seed: 1, NoFastPath: noFast})
 	e.Spawn("t", 0, func(th *Thread) {
@@ -138,4 +138,36 @@ func BenchmarkEventHeap(b *testing.B) {
 		ev.seq = uint64(256 + i)
 		h.push(ev)
 	}
+}
+
+// benchHandoff times one CPU transfer between threads: two threads pinned
+// to one core alternate Yield, so every Yield hands the core to the other
+// thread — through tryHandoff in fast mode, through a dispatch event and
+// the event loop in slow mode. ns/transfer counts only the Yields that
+// actually switched threads.
+func benchHandoff(b *testing.B, noFast bool) {
+	e := NewEngine(Config{Topo: topology.Laptop(), Seed: 1, NoFastPath: noFast})
+	last, transfers := -1, 0
+	body := func(th *Thread) {
+		for i := 0; i < b.N/2; i++ {
+			th.Yield()
+			if last != th.ID() {
+				transfers++
+				last = th.ID()
+			}
+		}
+	}
+	e.Spawn("a", 0, body)
+	e.Spawn("b", 0, body)
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	if transfers > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(transfers), "ns/transfer")
+	}
+}
+
+func BenchmarkHandoff(b *testing.B) {
+	b.Run("fast", func(b *testing.B) { benchHandoff(b, false) })
+	b.Run("slow", func(b *testing.B) { benchHandoff(b, true) })
 }

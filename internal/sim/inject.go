@@ -63,15 +63,17 @@ func (e *Engine) SetInjector(i Injector) { e.injector = i }
 // Injector returns the installed fault injector, or nil.
 func (e *Engine) Injector() Injector { return e.injector }
 
-// Abort ends the run from inside a thread: Run returns immediately, leaving
-// every other thread frozen where it stands.
+// Abort ends the run from inside the running thread: it raises the stop
+// flag and yields nil to the hub, so Run returns at once and every other
+// thread stays suspended where it stands. Abort never returns: the calling
+// thread's coroutine is never resumed.
 // This is the escape hatch for watchdogs that detect a deadlock or
 // starvation the simulation would otherwise hang on — the frozen state is
-// exactly what Dump then reports. The calling thread must not execute any
-// further engine operations; it should block forever (select{}).
+// exactly what Dump then reports.
 func (e *Engine) Abort() {
 	e.stopped = true
-	e.done <- struct{}{}
+	e.running.yield(nil)
+	panic("sim: aborted thread resumed")
 }
 
 // Dump renders the scheduler state — live threads, per-core run queues,

@@ -36,7 +36,7 @@ func TestThreadLayout(t *testing.T) {
 	}{
 		{"eng", unsafe.Offsetof(th.eng)},
 		{"cpu", unsafe.Offsetof(th.cpu)},
-		{"resume", unsafe.Offsetof(th.resume)},
+		{"yield", unsafe.Offsetof(th.yield)},
 		{"quantumLeft", unsafe.Offsetof(th.quantumLeft)},
 		{"spinStart", unsafe.Offsetof(th.spinStart)},
 		{"spinQuantum", unsafe.Offsetof(th.spinQuantum)},

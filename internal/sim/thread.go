@@ -51,9 +51,11 @@ func (s tstate) String() string {
 // on the second line.
 type Thread struct {
 	// Hot line (64 bytes).
-	eng         *Engine
-	cpu         *cpu
-	resume      chan struct{}
+	eng *Engine
+	cpu *cpu
+	// yield suspends the thread's coroutine and passes the named thread
+	// (nil to end the run) to the hub loop in Engine.Run.
+	yield       func(*Thread) bool
 	quantumLeft int64
 	// Spin-wait bookkeeping.
 	spinStart   uint64
@@ -107,22 +109,13 @@ func (t *Thread) NeedResched() bool { return t.needResched || t.quantumLeft <= 0
 // over-subscription.
 func (t *Thread) NrRunning() int { return 1 + t.cpu.qlen() }
 
-func (t *Thread) run(fn func(*Thread)) {
-	<-t.resume
-	fn(t)
-	t.eng.threadDone(t)
-	// Keep driving the event loop from this goroutine until control lands
-	// on another thread (or the simulation finishes and Run is signalled).
-	t.eng.schedule(nil)
-}
-
-// block gives up the CPU: the thread's own goroutine runs the event loop
+// block gives up the CPU: the thread's own coroutine runs the event loop
 // until control is handed to some thread. If that thread is someone else,
-// wait here to be resumed; if it is the caller itself (its own resume or
-// preempt event was next), just keep running.
+// yield it to the hub and wait here to be resumed; if it is the caller
+// itself (its own resume or preempt event was next), just keep running.
 func (t *Thread) block() {
-	if t.eng.schedule(t) != t {
-		<-t.resume
+	if next := t.eng.schedule(t); next != t {
+		t.yield(next)
 	}
 }
 
@@ -144,7 +137,7 @@ const graceCycles = 30_000
 //
 // Fast path: when the event queue proves no other event can fire inside
 // the step, the clock advances in place and the thread keeps the CPU — no
-// event, no goroutine round trip through the engine. This is the engine's
+// event, no coroutine switch. This is the engine's
 // hottest edge (every simulated memory access lands here).
 func (t *Thread) charge(cost uint64) {
 	t.checkRunning()
@@ -183,7 +176,7 @@ func (t *Thread) charge(cost uint64) {
 }
 
 // tryHandoff hands the CPU straight to the next thread on the caller's run
-// queue, from the caller's own goroutine, when the queue-top invariant
+// queue, from the caller's own coroutine, when the queue-top invariant
 // allows charging the context switch in place. The caller must already
 // have descheduled itself (state set, epoch bumped, enqueued if it stays
 // runnable). Returns the dispatched thread — which may be the caller
@@ -204,10 +197,9 @@ func (t *Thread) tryHandoff() *Thread {
 	next.state = tsRunning
 	e.running = next
 	if next != t {
-		// Wake the target directly, then wait for our own next dispatch —
-		// no event pushed, no heap traffic.
-		next.resume <- struct{}{}
-		<-t.resume
+		// Yield the target to the hub, then wait for our own next
+		// dispatch — no event pushed, no heap traffic.
+		t.yield(next)
 	}
 	return next
 }

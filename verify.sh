@@ -1,14 +1,18 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate.
 #
-#   ./verify.sh          vet + tier-1 (build + tests) + race on internal/core
+#   ./verify.sh          vet + tier-1 (build + tests) + race on internal/core,
+#                        internal/sim and internal/chaos
 #   ./verify.sh -short   same, but tests run with -short
 #
 # Tier-1 is the contract every change must keep green:
 #   go build ./... && go test ./...
 # The race pass re-runs the native-lock package (including the shuffling
 # invariant and steal-path liveness tests) under the race detector, which
-# is where lock bugs hide.
+# is where lock bugs hide. A second race pass covers the simulator, whose
+# threads hand the CPU to each other as coroutines through a hub loop:
+# every switch must carry a happens-before edge for the engine state the
+# threads share.
 #
 # The shape gate runs four times — serially, with a parallel worker pool,
 # with the engine fast path disabled, and with the timer wheel and arenas
@@ -50,6 +54,9 @@ go test $SHORT ./...
 
 echo "== go test -race ./internal/core/...  (incl. steal-path liveness)"
 go test -race $SHORT ./internal/core/...
+
+echo "== go test -race ./internal/sim ./internal/chaos  (coroutine handoff)"
+go test -race -count=1 $SHORT ./internal/sim ./internal/chaos
 
 echo "== single-P cache gate: runtime cache follows GOMAXPROCS at 1 and 2 Ps"
 # The cached P count (internal/runtimeq) must follow a GOMAXPROCS change
