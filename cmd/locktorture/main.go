@@ -290,10 +290,11 @@ func abortableAcquire(al abortLocker, rng *rand.Rand) bool {
 func runChaos(seed int64, lock string, deadlock, flip bool) {
 	ent, ok := lockreg.Find(lock)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown lock %q (simulated locks: %s)\n", lock, strings.Join(lockreg.SimNames(), "|"))
+		fmt.Fprintln(os.Stderr, lockreg.UnknownSim(lock))
 		os.Exit(2)
 	}
-	if _, simOK := ent.SimMaker(); !simOK {
+	mk, simOK := ent.SimMaker()
+	if !simOK {
 		fmt.Fprintf(os.Stderr, "lock %q has no simulated mutex implementation (substrates: %s)\n", ent.Name, ent.Substrates())
 		os.Exit(2)
 	}
@@ -301,7 +302,7 @@ func runChaos(seed int64, lock string, deadlock, flip bool) {
 	if flip {
 		cfg = chaos.FlipDefaults(seed)
 	}
-	cfg.Lock = ent.SimName()
+	cfg.Lock = mk
 	if !ent.Has(lockreg.CapAbortable) {
 		cfg.AbortFrac = 0
 	}
@@ -318,7 +319,7 @@ func runChaos(seed int64, lock string, deadlock, flip bool) {
 	// The flip marker is appended only when armed so the pre-existing
 	// flip-free golden stays byte-identical.
 	header := fmt.Sprintf("chaos lock=%s seed=%d workers=%d iters=%d deadlock=%v",
-		cfg.Lock, cfg.Seed, cfg.Workers, cfg.Iters, cfg.Deadlock)
+		cfg.Lock.Name, cfg.Seed, cfg.Workers, cfg.Iters, cfg.Deadlock)
 	if flip {
 		header += " flip=true"
 	}

@@ -3,95 +3,87 @@
 // atomic operations per acquire in uncontended and contended runs.
 // With -json the table is emitted machine-readable; with -lock a
 // comma-separated list of registry names (canonical or simulator
-// spellings) restricts the table to those rows.
+// spellings) measures those locks instead, variants included.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"shfllock/internal/bench"
 	"shfllock/internal/lockreg"
+	"shfllock/internal/simlocks"
 	"shfllock/internal/topology"
 )
 
-// filterNames resolves the -lock list through the registry into the
-// simulator maker names that key Table 1's rows, failing loudly on a typo
-// or a native-only lock (Table 1 measures the simulator substrate).
-func filterNames(spec string) (map[string]bool, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	set := map[string]bool{}
+// lineup resolves the -lock list through the registry into the simulator
+// makers Table 1 measures, failing loudly on a typo or a native-only lock
+// (Table 1 measures the simulator substrate).
+func lineup(spec string) ([]simlocks.Maker, []simlocks.RWMaker, error) {
+	var mutexes []simlocks.Maker
+	var rwLocks []simlocks.RWMaker
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
 		ent, ok := lockreg.Find(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown lock %q (simulated locks: %s)", name, strings.Join(lockreg.SimNames(), "|"))
+			return nil, nil, lockreg.UnknownSim(name)
 		}
-		if !ent.HasSim() {
-			return nil, fmt.Errorf("lock %q has no simulator implementation, so no Table 1 row (substrates: %s)", ent.Name, ent.Substrates())
+		if mk, ok := ent.SimMaker(); ok {
+			mutexes = append(mutexes, mk)
+		} else if mk, ok := ent.SimRWMaker(); ok {
+			rwLocks = append(rwLocks, mk)
+		} else {
+			return nil, nil, fmt.Errorf("lock %q has no simulator implementation, so no Table 1 row (substrates: %s)", ent.Name, ent.Substrates())
 		}
-		set[ent.SimName()] = true
 	}
-	return set, nil
+	return mutexes, rwLocks, nil
 }
 
-// filterTable keeps only the requested rows.
-func filterTable(data bench.Table1Result, keep map[string]bool) bench.Table1Result {
-	if keep == nil {
-		return data
-	}
-	var out bench.Table1Result
-	for _, row := range data.Mutexes {
-		if keep[row.Name] {
-			out.Mutexes = append(out.Mutexes, row)
-		}
-	}
-	for _, row := range data.RWLocks {
-		if keep[row.Name] {
-			out.RWLocks = append(out.RWLocks, row)
-		}
-	}
-	return out
-}
-
-func main() {
+// run parses args and writes the table to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("memfootprint", flag.ExitOnError)
 	var (
-		quick   = flag.Bool("quick", false, "shorter measurement runs")
-		sockets = flag.Int("sockets", 8, "simulated sockets")
-		cores   = flag.Int("cores", 24, "cores per socket")
-		jsonOut = flag.Bool("json", false, "emit Table 1 as JSON instead of text")
-		lock    = flag.String("lock", "", "comma-separated locks: print only these rows (any registry spelling)")
+		quick   = fs.Bool("quick", false, "shorter measurement runs")
+		sockets = fs.Int("sockets", 8, "simulated sockets")
+		cores   = fs.Int("cores", 24, "cores per socket")
+		jsonOut = fs.Bool("json", false, "emit Table 1 as JSON instead of text")
+		lock    = fs.String("lock", "", "comma-separated locks: measure only these (any registry spelling)")
 	)
-	flag.Parse()
-	keep, err := filterNames(*lock)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	fs.Parse(args) // ExitOnError: a bad flag exits with the usage
 	cfg := bench.Config{
 		Topo:  topology.Machine{Sockets: *sockets, CoresPerSocket: *cores},
 		Quick: *quick,
 		Seed:  1,
 	}
-	if *jsonOut || keep != nil {
-		data := filterTable(bench.Table1Data(cfg), keep)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(data); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		}
-		bench.WriteTable1(os.Stdout, data)
-		return
+	if *lock == "" && !*jsonOut {
+		e, _ := bench.ByID("table1")
+		e.Run(cfg, w)
+		return nil
 	}
-	e, _ := bench.ByID("table1")
-	e.Run(cfg, os.Stdout)
+	mutexes, rwLocks := bench.Table1Lineup()
+	if *lock != "" {
+		var err error
+		if mutexes, rwLocks, err = lineup(*lock); err != nil {
+			return err
+		}
+	}
+	data := bench.Table1Data(cfg, mutexes, rwLocks)
+	if *jsonOut {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(data)
+	}
+	bench.WriteTable1(w, data)
+	return nil
+}
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 }

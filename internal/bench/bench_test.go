@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"shfllock/internal/simlocks"
 	"shfllock/internal/stats"
 	"shfllock/internal/topology"
 )
@@ -146,14 +145,12 @@ func TestSeedZeroPreserved(t *testing.T) {
 func TestMeasureAtomicsUncontendedShfl(t *testing.T) {
 	// Table 1 claims ShflLock needs ~1 atomic per uncontended acquire.
 	c := tinyConfig()
-	m, _ := simlocks.MakerByName("shfllock-nb")
-	a := measureAtomics(c, m, 1, 100)
+	a := measureAtomics(c, mkMaker("shfllock-nb"), 1, 100)
 	if a < 0.9 || a > 1.5 {
 		t.Errorf("uncontended shfllock atomics/acquire = %.2f, want ~1", a)
 	}
 	// And the cohort lock needs several (Table 1 says 4).
-	m2, _ := simlocks.MakerByName("cohort")
-	a2 := measureAtomics(c, m2, 1, 100)
+	a2 := measureAtomics(c, mkMaker("cohort"), 1, 100)
 	if a2 < 2 {
 		t.Errorf("uncontended cohort atomics/acquire = %.2f, want >=2", a2)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"shfllock/internal/lockreg"
 	"shfllock/internal/simlocks"
 	"shfllock/internal/stats"
 	"shfllock/internal/workloads"
@@ -14,8 +15,11 @@ func rwSet() []string {
 	return []string{"stock-rwsem", "cst-rw", "cohort-rw", "shfllock-rw"}
 }
 
+// rwMaker and mkMaker resolve a lineup name through the registry; a name
+// that is not a simulated lock of that shape is a bug in the lineup.
 func rwMaker(name string) simlocks.RWMaker {
-	m, ok := simlocks.RWMakerByName(name)
+	ent, _ := lockreg.Find(name)
+	m, ok := ent.SimRWMaker()
 	if !ok {
 		panic("unknown rw lock " + name)
 	}
@@ -23,7 +27,8 @@ func rwMaker(name string) simlocks.RWMaker {
 }
 
 func mkMaker(name string) simlocks.Maker {
-	m, ok := simlocks.MakerByName(name)
+	ent, _ := lockreg.Find(name)
+	m, ok := ent.SimMaker()
 	if !ok {
 		panic("unknown lock " + name)
 	}

@@ -99,13 +99,35 @@ func table1Setup(c Config) (ops, contended int) {
 	return ops, contended
 }
 
+// Table 1's rows, in the paper's order: the mutexes measured for atomics
+// per acquire and the RW locks reported footprint-only. Variants (heap
+// nodes, ablation stages) are left out; cmd/memfootprint -lock measures
+// any simulated lock.
+var (
+	table1Mutexes = []string{"tas", "ticket", "mcs", "stock-qspinlock", "cna", "cohort", "hmcs", "cst", "malthusian",
+		"mcstp", "pthread", "mutexee", "stock-mutex", "shfllock-nb", "shfllock-b", "fissile", "hapax", "reciprocating"}
+	table1RWLocks = []string{"stock-rwsem", "cohort-rw", "cst-rw", "shfllock-rw", "stock-rwsem+bravo", "shfllock-rw+bravo"}
+)
+
+// Table1Lineup resolves Table 1's rows through the registry.
+func Table1Lineup() ([]simlocks.Maker, []simlocks.RWMaker) {
+	mutexes := make([]simlocks.Maker, len(table1Mutexes))
+	for i, name := range table1Mutexes {
+		mutexes[i] = mkMaker(name)
+	}
+	rwLocks := make([]simlocks.RWMaker, len(table1RWLocks))
+	for i, name := range table1RWLocks {
+		rwLocks[i] = rwMaker(name)
+	}
+	return mutexes, rwLocks
+}
+
 // table1Points enumerates Table 1's simulations: solo and contended
 // atomics-per-acquire for every mutex (RW locks are footprint-only).
-func table1Points(c Config) []Point {
+func table1Points(c Config, mutexes []simlocks.Maker) []Point {
 	ops, contended := table1Setup(c)
 	var out []Point
-	for _, mk := range simlocks.AllMutexMakers() {
-		mk := mk
+	for _, mk := range mutexes {
 		out = append(out,
 			Point{Lock: mk.Name, Threads: 1, Variant: t1Solo, Run: func(c Config) workloads.Result {
 				return workloads.Result{Extra: map[string]float64{atomicsKey: measureAtomics(c, mk, 1, ops)}}
@@ -118,11 +140,11 @@ func table1Points(c Config) []Point {
 }
 
 // table1Assemble combines the static footprints with the measured atomics.
-func table1Assemble(c Config, r *Results) Table1Result {
+func table1Assemble(c Config, r *Results, mutexes []simlocks.Maker, rwLocks []simlocks.RWMaker) Table1Result {
 	_, contended := table1Setup(c)
 	sockets := c.Topo.Sockets
 	var out Table1Result
-	for _, mk := range simlocks.AllMutexMakers() {
+	for _, mk := range mutexes {
 		fp := mk.Footprint(sockets)
 		out.Mutexes = append(out.Mutexes, Table1Row{
 			Name:          mk.Name,
@@ -135,7 +157,7 @@ func table1Assemble(c Config, r *Results) Table1Result {
 			AtomicsContnd: r.GetV(mk.Name, contended, t1Contended).Extra[atomicsKey],
 		})
 	}
-	for _, mk := range simlocks.AllRWMakers() {
+	for _, mk := range rwLocks {
 		fp := mk.Footprint(sockets)
 		out.RWLocks = append(out.RWLocks, Table1Row{
 			Name:      mk.Name,
@@ -146,16 +168,17 @@ func table1Assemble(c Config, r *Results) Table1Result {
 	return out
 }
 
-// Table1Data measures Table 1 — per-lock/per-waiter/per-holder footprints
-// and atomics per acquire for every mutex, footprints for every RW lock —
-// running the measurements serially (cmd/memfootprint's entry point).
-func Table1Data(c Config) Table1Result {
+// Table1Data measures Table 1 for the given lineup — per-lock/per-waiter/
+// per-holder footprints and atomics per acquire for each mutex, footprints
+// for each RW lock — running the measurements serially (cmd/memfootprint's
+// entry point).
+func Table1Data(c Config, mutexes []simlocks.Maker, rwLocks []simlocks.RWMaker) Table1Result {
 	c = c.withDefaults()
 	r := &Results{m: map[resKey]workloads.Result{}}
-	for _, p := range table1Points(c) {
+	for _, p := range table1Points(c, mutexes) {
 		r.m[resKey{p.Lock, p.Threads, p.Variant}] = p.Run(c)
 	}
-	return table1Assemble(c, r)
+	return table1Assemble(c, r, mutexes, rwLocks)
 }
 
 func init() {
@@ -171,15 +194,19 @@ func init() {
 		})
 
 	register("table1", "Table 1: memory footprint and atomics per acquire for every lock",
-		table1Points,
+		func(c Config) []Point {
+			mutexes, _ := Table1Lineup()
+			return table1Points(c, mutexes)
+		},
 		func(c Config, r *Results, w io.Writer) {
 			header(w, c, "Table 1 — footprint (bytes) and atomic ops per acquire")
-			WriteTable1(w, table1Assemble(c, r))
+			mutexes, rwLocks := Table1Lineup()
+			WriteTable1(w, table1Assemble(c, r, mutexes, rwLocks))
 		})
 }
 
 // WriteTable1 renders the Table 1 dataset as text — shared by the
-// registered experiment and cmd/memfootprint's filtered view.
+// registered experiment and cmd/memfootprint.
 func WriteTable1(w io.Writer, data Table1Result) {
 	fmt.Fprintf(w, "%-18s %9s %10s %10s %9s %12s %12s\n",
 		"lock", "per-lock", "per-waiter", "per-holder", "dynamic", "atomics(1t)", "atomics(cont)")

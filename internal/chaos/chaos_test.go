@@ -3,16 +3,18 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"shfllock/internal/simlocks"
 )
 
 // TestRunReproducible: the whole point of the layer — same seed, same
 // faults, same outcome, byte for byte. This is the property the verify.sh
 // chaos gate enforces end to end through cmd/locktorture.
 func TestRunReproducible(t *testing.T) {
-	for _, lock := range []string{"shfllock-b", "shfllock-nb"} {
-		t.Run(lock, func(t *testing.T) {
+	for _, mk := range []simlocks.Maker{simlocks.ShflLockBMaker(), simlocks.ShflLockNBMaker()} {
+		t.Run(mk.Name, func(t *testing.T) {
 			cfg := Defaults(42)
-			cfg.Lock = lock
+			cfg.Lock = mk
 			a, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

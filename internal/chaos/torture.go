@@ -13,9 +13,9 @@ import (
 // Config produces a byte-identical Result.Log and identical counters.
 type Config struct {
 	Seed int64
-	// Lock is a simlocks maker name; abort injection requires a lock with
-	// a LockAbort method (the ShflLock family).
-	Lock    string
+	// Lock builds the lock under test; abort injection requires a lock
+	// with a LockAbort method (the ShflLock family).
+	Lock    simlocks.Maker
 	Workers int
 	Iters   int // iterations per worker
 
@@ -62,7 +62,7 @@ type Config struct {
 func Defaults(seed int64) Config {
 	return Config{
 		Seed:                seed,
-		Lock:                "shfllock-b",
+		Lock:                simlocks.ShflLockBMaker(),
 		Workers:             12, // 8 cores: parking paths stay hot
 		Iters:               40,
 		AbortFrac:           0.25,
@@ -136,20 +136,16 @@ type abortableLock interface {
 
 // Run executes one chaos-torture run and returns its deterministic result.
 func Run(cfg Config) (*Result, error) {
-	mk, ok := simlocks.MakerByName(cfg.Lock)
-	if !ok {
-		return nil, fmt.Errorf("chaos: unknown lock %q", cfg.Lock)
-	}
 	log := &Log{}
 	plan := NewPlan(cfg, log)
 	res := &Result{Log: log}
 
 	e := sim.NewEngine(sim.Config{Topo: topology.Laptop(), Seed: cfg.Seed, HardStop: 2_000_000_000_000})
 	e.SetInjector(plan)
-	l := mk.New(e, "chaos/"+cfg.Lock)
+	l := cfg.Lock.New(e, "chaos/"+cfg.Lock.Name)
 	al, abortable := l.(abortableLock)
 	if cfg.AbortFrac > 0 && !abortable {
-		return nil, fmt.Errorf("chaos: lock %q does not support abortable acquisition", cfg.Lock)
+		return nil, fmt.Errorf("chaos: lock %q does not support abortable acquisition", cfg.Lock.Name)
 	}
 	data := e.Mem().Alloc("chaos/csdata", 2)
 	wd := NewWatchdog(e, log, cfg.Workers, cfg.WatchdogInterval, cfg.WatchdogThreshold)

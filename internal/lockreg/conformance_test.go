@@ -76,7 +76,7 @@ func runScript(t *testing.T, name, script string, m mutexOps) string {
 func TestSubstrateConformance(t *testing.T) {
 	script := conformanceScript()
 	for _, e := range DualSubstrate() {
-		if e.simRW {
+		if e.simRW != nil {
 			continue // the RW dual is covered by TestSubstrateConformanceRW
 		}
 		e := e
@@ -121,7 +121,7 @@ func TestSubstrateConformance(t *testing.T) {
 // native try paths agree with the hold state.
 func TestSubstrateConformanceRW(t *testing.T) {
 	for _, e := range DualSubstrate() {
-		if !e.simRW {
+		if e.simRW == nil {
 			continue
 		}
 		e := e
@@ -172,20 +172,20 @@ func TestSubstrateConformanceRW(t *testing.T) {
 // new algorithms must join, not just the ShflLocks.
 func TestChaosDualSubstrate(t *testing.T) {
 	for _, e := range DualSubstrate() {
-		if e.simRW {
+		if e.simRW != nil {
 			continue // chaos tortures mutex-shaped locks
 		}
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			run := func() *chaos.Result {
 				cfg := chaos.Defaults(11)
-				cfg.Lock = e.SimName()
+				cfg.Lock, _ = e.SimMaker()
 				if !e.Has(CapAbortable) {
 					cfg.AbortFrac = 0
 				}
 				r, err := chaos.Run(cfg)
 				if err != nil {
-					t.Fatalf("chaos.Run(%s): %v", e.SimName(), err)
+					t.Fatalf("chaos.Run(%s): %v", e.simName(), err)
 				}
 				return r
 			}

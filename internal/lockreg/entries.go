@@ -11,12 +11,13 @@ import (
 // spin, mutex and goroutine-native deployments.
 const nativeShfl = CapAbortable | CapPriority | CapPolicy
 
-// builtinEntries lists every lock with a native substrate. Each dual
-// entry's simName ties it to the simulator implementation of the same
-// algorithm; the conformance tests hold the two to identical decision
-// traces. Legacy flag spellings live on as aliases so no command line or
-// committed results file breaks.
-func builtinEntries() []Entry {
+// allEntries is the registry: one entry per lock, in registration order.
+// Locks with a native substrate come first; a dual entry's sim constructor
+// ties it to the simulator implementation of the same algorithm, and the
+// conformance tests hold the two to identical decision traces. Legacy flag
+// spellings live on as aliases so no command line or committed results
+// file breaks.
+func allEntries() []Entry {
 	return []Entry{
 		{
 			Name: "shfl-mutex", Aliases: []string{"mutex"},
@@ -26,7 +27,7 @@ func builtinEntries() []Entry {
 				m := &core.Mutex{}
 				return &Native{Locker: m, Abort: m, SetPolicy: m.SetPolicy, LockWithPriority: m.LockWithPriority, TransitionLog: m.Transitions}
 			},
-			simName: "shfllock-b",
+			sim: simlocks.ShflLockBMaker,
 		},
 		{
 			Name: "shfl-spin", Aliases: []string{"spinlock"},
@@ -36,7 +37,7 @@ func builtinEntries() []Entry {
 				l := &core.SpinLock{}
 				return &Native{Locker: l, Abort: l, SetPolicy: l.SetPolicy, LockWithPriority: l.LockWithPriority, TransitionLog: l.Transitions}
 			},
-			simName: "shfllock-nb",
+			sim: simlocks.ShflLockNBMaker,
 		},
 		{
 			Name: "shfl-rw", Aliases: []string{"rwmutex"},
@@ -46,7 +47,7 @@ func builtinEntries() []Entry {
 				l := &core.RWMutex{}
 				return &NativeRW{RWLocker: l, Abort: l, SetPolicy: l.SetPolicy, LockWithPriority: l.LockWithPriority, TransitionLog: l.Transitions}
 			},
-			simName: "shfllock-rw", simRW: true,
+			simRW: simlocks.ShflRWMaker,
 		},
 		{
 			Name: "goro",
@@ -97,7 +98,7 @@ func builtinEntries() []Entry {
 			native: func() *Native {
 				return &Native{Locker: &core.TASLock{}}
 			},
-			simName: "tas",
+			sim: simlocks.TASMaker,
 		},
 		{
 			Name: "ticket",
@@ -105,7 +106,7 @@ func builtinEntries() []Entry {
 			native: func() *Native {
 				return &Native{Locker: &core.TicketLock{}}
 			},
-			simName: "ticket",
+			sim: simlocks.TicketMaker,
 		},
 		{
 			Name: "mcs",
@@ -113,7 +114,7 @@ func builtinEntries() []Entry {
 			native: func() *Native {
 				return &Native{Locker: &core.MCSLock{}}
 			},
-			simName: "mcs",
+			sim: simlocks.MCSMaker,
 		},
 		{
 			Name: "fissile",
@@ -121,7 +122,7 @@ func builtinEntries() []Entry {
 			native: func() *Native {
 				return &Native{Locker: &core.FissileLock{}}
 			},
-			simName: "fissile",
+			sim: simlocks.FissileMaker,
 		},
 		{
 			Name: "hapax",
@@ -129,7 +130,7 @@ func builtinEntries() []Entry {
 			native: func() *Native {
 				return &Native{Locker: &core.HapaxLock{}}
 			},
-			simName: "hapax",
+			sim: simlocks.HapaxMaker,
 		},
 		{
 			Name: "reciprocating", Aliases: []string{"recip"},
@@ -137,96 +138,109 @@ func builtinEntries() []Entry {
 			native: func() *Native {
 				return &Native{Locker: &core.RecipLock{}}
 			},
-			simName: "reciprocating",
+			sim: simlocks.RecipMaker,
+		},
+		// Simulator-only algorithms from the paper's evaluation, in Table 1
+		// order.
+		{
+			Name: "stock-qspinlock", Doc: "Linux qspinlock model (pre-CNA mainline)",
+			sim: simlocks.QSpinLockMaker,
+		},
+		{
+			Name: "cna", Doc: "compact NUMA-aware qspinlock: main + secondary queue",
+			sim: simlocks.CNAMaker,
+		},
+		{
+			Name: "cohort", Doc: "lock cohorting: global lock + per-socket locks",
+			sim: simlocks.CohortMaker,
+		},
+		{
+			Name: "hmcs", Doc: "hierarchical MCS with per-socket levels",
+			sim: simlocks.HMCSMaker,
+		},
+		{
+			Name: "cst", Doc: "CST: hierarchical blocking lock with dynamic per-socket structures",
+			Caps: CapBlocking, sim: simlocks.CSTMaker,
+		},
+		{
+			Name: "malthusian", Doc: "Malthusian lock: culls waiters to a passive list",
+			Caps: CapBlocking, sim: simlocks.MalthusianMaker,
+		},
+		{
+			Name: "mcstp", Doc: "MCS time-published: waiters abandon on timeout",
+			Caps: CapAbortable, sim: simlocks.MCSTPMaker,
+		},
+		{
+			Name: "pthread", Doc: "futex-based pthread mutex model",
+			Caps: CapBlocking, sim: simlocks.PthreadMaker,
+		},
+		{
+			Name: "mutexee", Doc: "Mutexee: spin-then-futex with handover hints",
+			Caps: CapBlocking, sim: simlocks.MutexeeMaker,
+		},
+		{
+			Name: "stock-mutex", Doc: "Linux blocking mutex model (optimistic spin + wait list)",
+			Caps: CapBlocking, sim: simlocks.LinuxMutexMaker,
+		},
+		// Variants of the algorithms above (heap-node deployments, ablation
+		// stages, policy variants), sorted by name. Table 1 leaves them out:
+		// they would double it without adding a distinct algorithm.
+		{
+			Name: "cna-heap", Doc: "CNA with heap-allocated queue nodes",
+			sim: simlocks.CNAHeapMaker,
+		},
+		{
+			Name: "hmcs-heap", Doc: "HMCS with heap-allocated queue nodes",
+			sim: simlocks.HMCSHeapMaker,
+		},
+		{
+			Name: "mcs-heap", Doc: "MCS with heap-allocated queue nodes (userspace deployment)",
+			sim: simlocks.MCSHeapMaker,
+		},
+		{
+			Name: "shfl+qlast", Doc: "ShflLock ablation stage 3 (full): qlast shortcut",
+			Caps: CapAbortable, sim: func() simlocks.Maker { return simlocks.ShflLockAblationMaker(3) },
+		},
+		{
+			Name: "shfl+shuffler", Doc: "ShflLock ablation stage 1: single persistent shuffler",
+			Caps: CapAbortable, sim: func() simlocks.Maker { return simlocks.ShflLockAblationMaker(1) },
+		},
+		{
+			Name: "shfl+shufflers", Doc: "ShflLock ablation stage 2: shuffler role is passed",
+			Caps: CapAbortable, sim: func() simlocks.Maker { return simlocks.ShflLockAblationMaker(2) },
+		},
+		{
+			Name: "shfl-base", Doc: "ShflLock ablation stage 0: plain TAS+MCS, no shuffling",
+			Caps: CapAbortable, sim: func() simlocks.Maker { return simlocks.ShflLockAblationMaker(0) },
+		},
+		{
+			Name: "shfllock-b-numa", Doc: "blocking ShflLock variant: stealing restricted to the holder's socket",
+			Caps: CapBlocking | CapAbortable, sim: simlocks.ShflLockBNUMAStealMaker,
+		},
+		{
+			Name: "shfllock-prio", Doc: "ShflLock deployment with priority-carrying acquisition",
+			Caps: CapAbortable | CapPriority, sim: simlocks.ShflLockPriorityMaker,
+		},
+		// Simulator-only readers-writer locks.
+		{
+			Name: "stock-rwsem", Doc: "Linux rwsem model",
+			Caps: CapRW | CapBlocking, simRW: simlocks.RWSemMaker,
+		},
+		{
+			Name: "cohort-rw", Doc: "cohort readers-writer lock",
+			Caps: CapRW, simRW: simlocks.CohortRWMaker,
+		},
+		{
+			Name: "cst-rw", Doc: "CST readers-writer lock",
+			Caps: CapRW | CapBlocking, simRW: simlocks.CSTRWMaker,
+		},
+		{
+			Name: "stock-rwsem+bravo", Doc: "Linux rwsem with the BRAVO distributed-reader front end",
+			Caps: CapRW | CapBlocking, simRW: func() simlocks.RWMaker { return simlocks.BravoMaker(simlocks.RWSemMaker()) },
+		},
+		{
+			Name: "shfllock-rw+bravo", Doc: "readers-writer ShflLock with the BRAVO reader front end",
+			Caps: CapRW | CapBlocking, simRW: func() simlocks.RWMaker { return simlocks.BravoMaker(simlocks.ShflRWMaker()) },
 		},
 	}
-}
-
-// simOnlyCaps adds capabilities (beyond kind-derived CapBlocking) for
-// simulator-only makers: the ShflLock variants keep the family's abortable
-// acquisition, and the priority deployment its priority path.
-var simOnlyCaps = map[string]Cap{
-	"shfllock-b-numa": CapAbortable,
-	"shfl-base":       CapAbortable,
-	"shfl+shuffler":   CapAbortable,
-	"shfl+shufflers":  CapAbortable,
-	"shfl+qlast":      CapAbortable,
-	"shfllock-prio":   CapAbortable | CapPriority,
-	"mcstp":           CapAbortable,
-}
-
-// simOnlyDocs gives the simulator-only algorithms a matrix row worth
-// reading; anything not listed falls back to a generic line.
-var simOnlyDocs = map[string]string{
-	"stock-qspinlock":   "Linux qspinlock model (pre-CNA mainline)",
-	"cna":               "compact NUMA-aware qspinlock: main + secondary queue",
-	"cohort":            "lock cohorting: global lock + per-socket locks",
-	"hmcs":              "hierarchical MCS with per-socket levels",
-	"cst":               "CST: hierarchical blocking lock with dynamic per-socket structures",
-	"malthusian":        "Malthusian lock: culls waiters to a passive list",
-	"mcstp":             "MCS time-published: waiters abandon on timeout",
-	"pthread":           "futex-based pthread mutex model",
-	"mutexee":           "Mutexee: spin-then-futex with handover hints",
-	"stock-mutex":       "Linux blocking mutex model (optimistic spin + wait list)",
-	"stock-rwsem":       "Linux rwsem model",
-	"cohort-rw":         "cohort readers-writer lock",
-	"cst-rw":            "CST readers-writer lock",
-	"mcs-heap":          "MCS with heap-allocated queue nodes (userspace deployment)",
-	"cna-heap":          "CNA with heap-allocated queue nodes",
-	"hmcs-heap":         "HMCS with heap-allocated queue nodes",
-	"shfllock-b-numa":   "blocking ShflLock variant: stealing restricted to the holder's socket",
-	"shfl-base":         "ShflLock ablation stage 0: plain TAS+MCS, no shuffling",
-	"shfl+shuffler":     "ShflLock ablation stage 1: single persistent shuffler",
-	"shfl+shufflers":    "ShflLock ablation stage 2: shuffler role is passed",
-	"shfl+qlast":        "ShflLock ablation stage 3 (full): qlast shortcut",
-	"shfllock-prio":     "ShflLock deployment with priority-carrying acquisition",
-	"stock-rwsem+bravo": "Linux rwsem with the BRAVO distributed-reader front end",
-	"shfllock-rw+bravo": "readers-writer ShflLock with the BRAVO reader front end",
-}
-
-func simOnlyDoc(name string) string {
-	if d, ok := simOnlyDocs[name]; ok {
-		return d
-	}
-	return "simulator-only algorithm from the paper's evaluation"
-}
-
-// allEntries assembles the full registry: the hand-written native/dual
-// entries, then simulator-only entries generated from the simlocks makers
-// so a lock added there is reachable by name everywhere without a second
-// registration.
-func allEntries() []Entry {
-	out := builtinEntries()
-	claimed := map[string]bool{}
-	for _, e := range out {
-		if e.simName != "" {
-			claimed[e.simName] = true
-		}
-	}
-	simEntry := func(name string, kind simlocks.Kind, rw bool) Entry {
-		caps := simOnlyCaps[name]
-		if kind == simlocks.Blocking {
-			caps |= CapBlocking
-		}
-		if rw {
-			caps |= CapRW
-		}
-		return Entry{Name: name, Doc: simOnlyDoc(name), Caps: caps, simName: name, simRW: rw}
-	}
-	for _, mk := range simlocks.AllMutexMakers() {
-		if !claimed[mk.Name] {
-			out = append(out, simEntry(mk.Name, mk.Kind, false))
-		}
-	}
-	for _, name := range simlocks.ExtraMutexNames() {
-		if mk, ok := simlocks.MakerByName(name); ok && !claimed[name] {
-			out = append(out, simEntry(name, mk.Kind, false))
-		}
-	}
-	for _, mk := range simlocks.AllRWMakers() {
-		if !claimed[mk.Name] {
-			out = append(out, simEntry(mk.Name, mk.Kind, true))
-		}
-	}
-	return out
 }

@@ -79,21 +79,22 @@ func (c Cap) String() string {
 }
 
 // Entry describes one lock algorithm: its canonical name, the substrates
-// it is implemented on, and the capabilities those implementations
-// provide. Entries are registered once (entries.go) and queried from every
-// binary; an entry with both constructors is a dual-substrate lock whose
-// two implementations are held to the same decision trace by the
-// conformance tests.
+// it is implemented on with their constructors, and the capabilities those
+// implementations provide. It is the lock's only descriptor: entries are
+// registered once (entries.go) and queried from every binary, Table 1 and
+// the figure sweeps. An entry with both a native and a sim constructor is
+// a dual-substrate lock whose two implementations are held to the same
+// decision trace by the conformance tests.
 type Entry struct {
 	Name    string   // canonical name, the one flags and reports use
 	Aliases []string // accepted spellings (legacy flag values, sim names)
 	Doc     string   // one-line description for -list output and the README
 	Caps    Cap
 
-	native   func() *Native   // nil: no native mutex-shaped substrate
-	nativeRW func() *NativeRW // nil: no native RW substrate
-	simName  string           // simlocks maker name; "" = no sim substrate
-	simRW    bool             // simName names an RW maker, not a mutex maker
+	native   func() *Native          // nil: no native mutex-shaped substrate
+	nativeRW func() *NativeRW        // nil: no native RW substrate
+	sim      func() simlocks.Maker   // nil: no simulated mutex
+	simRW    func() simlocks.RWMaker // nil: no simulated RW lock
 }
 
 // Has reports whether the entry supports every requested capability.
@@ -103,10 +104,18 @@ func (e Entry) Has(c Cap) bool { return e.Caps.Has(c) }
 func (e Entry) HasNative() bool { return e.native != nil || e.nativeRW != nil }
 
 // HasSim reports whether the lock exists on the simulator substrate.
-func (e Entry) HasSim() bool { return e.simName != "" }
+func (e Entry) HasSim() bool { return e.sim != nil || e.simRW != nil }
 
-// SimName returns the simlocks maker name backing this entry ("" if none).
-func (e Entry) SimName() string { return e.simName }
+// simName returns the simlocks maker name backing this entry ("" if none).
+func (e Entry) simName() string {
+	switch {
+	case e.sim != nil:
+		return e.sim().Name
+	case e.simRW != nil:
+		return e.simRW().Name
+	}
+	return ""
+}
 
 // Substrates renders where the lock is implemented: "native+sim",
 // "native", or "sim".
@@ -168,18 +177,18 @@ func (e Entry) NewNativeRW(need ...Cap) (*NativeRW, error) {
 
 // SimMaker returns the simulator mutex maker backing this entry.
 func (e Entry) SimMaker() (simlocks.Maker, bool) {
-	if e.simName == "" || e.simRW {
+	if e.sim == nil {
 		return simlocks.Maker{}, false
 	}
-	return simlocks.MakerByName(e.simName)
+	return e.sim(), true
 }
 
 // SimRWMaker returns the simulator RW maker backing this entry.
 func (e Entry) SimRWMaker() (simlocks.RWMaker, bool) {
-	if e.simName == "" || !e.simRW {
+	if e.simRW == nil {
 		return simlocks.RWMaker{}, false
 	}
-	return simlocks.RWMakerByName(e.simName)
+	return e.simRW(), true
 }
 
 // NewSim builds the simulator lock on the given engine, requiring the
@@ -222,7 +231,7 @@ func build() {
 			}
 			// The sim maker name always resolves too, so a -chaos-lock value
 			// or an old results file keyed by sim name finds its entry.
-			add(e.simName, i)
+			add(e.simName(), i)
 		}
 	})
 }
@@ -271,7 +280,7 @@ func NativeNames() []string {
 func SimNames() []string {
 	var out []string
 	for _, e := range All() {
-		if e.HasSim() && !e.simRW {
+		if e.sim != nil {
 			out = append(out, e.Name)
 		}
 	}
@@ -299,6 +308,12 @@ func NativeFlagHelp() string { return strings.Join(NativeNames(), "|") }
 // binaries: the bad name plus everything the registry would have accepted.
 func UnknownNative(name string) error {
 	return fmt.Errorf("unknown lock %q (native locks: %s)", name, NativeFlagHelp())
+}
+
+// UnknownSim formats the same error for simulator binaries, listing every
+// simulated mutex.
+func UnknownSim(name string) error {
+	return fmt.Errorf("unknown lock %q (simulated locks: %s)", name, strings.Join(SimNames(), "|"))
 }
 
 // MatrixMarkdown renders the lock matrix as a Markdown table — the README

@@ -182,14 +182,14 @@ func TestDualSubstrateSet(t *testing.T) {
 	got := map[string]bool{}
 	for _, e := range DualSubstrate() {
 		got[e.Name] = true
-		if e.simRW {
+		if e.simRW != nil {
 			if _, ok := e.SimRWMaker(); !ok {
-				t.Errorf("%s: SimRWMaker missing for sim name %q", e.Name, e.SimName())
+				t.Errorf("%s: SimRWMaker missing for sim name %q", e.Name, e.simName())
 			}
 			continue
 		}
 		if _, ok := e.SimMaker(); !ok {
-			t.Errorf("%s: SimMaker missing for sim name %q", e.Name, e.SimName())
+			t.Errorf("%s: SimMaker missing for sim name %q", e.Name, e.simName())
 		}
 	}
 	for _, want := range []string{"shfl-mutex", "shfl-spin", "shfl-rw", "tas", "ticket", "mcs", "fissile", "hapax", "reciprocating"} {

@@ -18,7 +18,6 @@ const bravoInhibit = 1_000_000
 // the bias by scanning the whole table and waiting for planted readers to
 // leave.
 type Bravo struct {
-	name     string
 	under    RWLock
 	rbias    sim.Word
 	slots    []sim.Word
@@ -26,21 +25,6 @@ type Bravo struct {
 	usedSlot map[int]sim.Word
 	cnt      Counters
 }
-
-// NewBravo wraps under with a BRAVO reader-bias layer.
-func NewBravo(e *sim.Engine, tag string, under RWLock) *Bravo {
-	b := &Bravo{
-		name:     under.Name() + "+bravo",
-		under:    under,
-		rbias:    e.Mem().AllocWord(tag + "/rbias"),
-		slots:    e.Mem().AllocPadded(tag+"/slots", bravoSlots),
-		usedSlot: make(map[int]sim.Word),
-	}
-	e.Mem().Poke(b.rbias, 1)
-	return b
-}
-
-func (l *Bravo) Name() string { return l.name }
 
 // Stats returns the wrapper's counters.
 func (l *Bravo) Stats() *Counters { return &l.cnt }
@@ -108,9 +92,15 @@ func (l *Bravo) Unlock(t *sim.Thread) {
 func BravoMaker(inner RWMaker) RWMaker {
 	return RWMaker{
 		Name: inner.Name + "+bravo",
-		Kind: inner.Kind,
 		New: func(e *sim.Engine, tag string) RWLock {
-			return NewBravo(e, tag+"/bravo", inner.New(e, tag))
+			b := &Bravo{
+				under:    inner.New(e, tag),
+				rbias:    e.Mem().AllocWord(tag + "/bravo/rbias"),
+				slots:    e.Mem().AllocPadded(tag+"/bravo/slots", bravoSlots),
+				usedSlot: make(map[int]sim.Word),
+			}
+			e.Mem().Poke(b.rbias, 1)
+			return b
 		},
 		Footprint: func(sockets int) Footprint {
 			f := inner.Footprint(sockets)

@@ -36,22 +36,14 @@ const cnaFlushPeriod = 256
 // cnaGrant encodes a lock grant carrying the secondary-queue head.
 func cnaGrant(secHead uint64) uint64 { return secHead<<16 | 1 }
 
-// NewCNA creates a CNA lock.
-func NewCNA(e *sim.Engine, tag string) *CNA {
+// newCNA creates a CNA lock; heap accounts its queue nodes as heap
+// allocations (userspace deployment, Figure 13).
+func newCNA(e *sim.Engine, tag string, heap bool) *CNA {
 	l := &CNA{tail: e.Mem().AllocWord(tag)}
 	l.nodes = newNodeTable(e, tag, cnaWords, &l.cnt)
+	l.nodes.heap = heap
 	return l
 }
-
-// NewCNAHeap creates a CNA lock with heap-accounted queue nodes
-// (userspace deployment, Figure 13).
-func NewCNAHeap(e *sim.Engine, tag string) *CNA {
-	l := NewCNA(e, tag)
-	l.nodes.heap = true
-	return l
-}
-
-func (l *CNA) Name() string { return "cna" }
 
 // Lock enqueues like MCS; a granted waiter inherits the secondary queue
 // from its predecessor through the grant word.
@@ -187,8 +179,7 @@ func (l *CNA) Stats() *Counters { return &l.cnt }
 func CNAMaker() Maker {
 	return Maker{
 		Name: "cna",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewCNA(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return newCNA(e, tag, false) },
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 8, PerWaiter: 28, PerHolder: 28}
 		},
@@ -198,7 +189,8 @@ func CNAMaker() Maker {
 // CNAHeapMaker registers the userspace CNA variant with heap queue nodes.
 func CNAHeapMaker() Maker {
 	m := CNAMaker()
-	m.New = func(e *sim.Engine, tag string) Lock { return NewCNAHeap(e, tag) }
+	m.Name = "cna-heap"
+	m.New = func(e *sim.Engine, tag string) Lock { return newCNA(e, tag, true) }
 	m.Footprint = func(int) Footprint {
 		return Footprint{PerLock: 8, PerWaiter: 28, PerHolder: 28, HeapNodes: true}
 	}

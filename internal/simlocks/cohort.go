@@ -22,8 +22,8 @@ type Cohort struct {
 	cnt   Counters
 }
 
-// NewCohort creates a cohort lock for the engine's machine.
-func NewCohort(e *sim.Engine, tag string) *Cohort {
+// newCohort creates a cohort lock for the engine's machine.
+func newCohort(e *sim.Engine, tag string) *Cohort {
 	l := &Cohort{global: e.Mem().AllocWord(tag + "/global")}
 	socks := e.Topology().Sockets
 	l.local = make([][]sim.Word, socks)
@@ -32,8 +32,6 @@ func NewCohort(e *sim.Engine, tag string) *Cohort {
 	}
 	return l
 }
-
-func (l *Cohort) Name() string { return "cohort" }
 
 const (
 	cohTicket = 0
@@ -119,8 +117,7 @@ func (l *Cohort) Stats() *Counters { return &l.cnt }
 func CohortMaker() Maker {
 	return Maker{
 		Name: "cohort",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewCohort(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return newCohort(e, tag) },
 		Footprint: func(sockets int) Footprint {
 			return Footprint{PerLock: 128*sockets + 128, PerWaiter: 24, PerHolder: 24}
 		},

@@ -46,10 +46,10 @@ const (
 	cstGOwner  = 3 // thread handle of the parked socket leader
 )
 
-// NewCST creates a CST lock. The allocator models the kernel slab the
+// newCST creates a CST lock. The allocator models the kernel slab the
 // per-socket structures come from; the first socket's structure is
 // allocated eagerly, the rest on first use.
-func NewCST(e *sim.Engine, al *alloc.Allocator, tag string) *CST {
+func newCST(e *sim.Engine, al *alloc.Allocator, tag string) *CST {
 	socks := e.Topology().Sockets
 	l := &CST{
 		e: e, al: al,
@@ -61,8 +61,6 @@ func NewCST(e *sim.Engine, al *alloc.Allocator, tag string) *CST {
 	l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
 	return l
 }
-
-func (l *CST) Name() string { return "cst" }
 
 // snode returns the socket's structure, allocating it on first use; the
 // allocation is charged to the calling thread, on its lock-acquire path.
@@ -263,15 +261,13 @@ func allocatorPerEngine() func(*sim.Engine) *alloc.Allocator {
 }
 
 // CSTMaker registers the CST lock. The maker allocates a fresh slab
-// allocator per engine on demand; experiments that want shared allocator
-// pressure construct CST locks directly with their allocator.
+// allocator per engine on demand.
 func CSTMaker() Maker {
 	allocFor := allocatorPerEngine()
 	return Maker{
 		Name: "cst",
-		Kind: Blocking,
 		New: func(e *sim.Engine, tag string) Lock {
-			return NewCST(e, allocFor(e), tag)
+			return newCST(e, allocFor(e), tag)
 		},
 		Footprint: func(sockets int) Footprint {
 			return Footprint{PerLock: cstSnodeBytes*sockets + 32, PerWaiter: 24, PerHolder: 0, Dynamic: true}

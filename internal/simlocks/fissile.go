@@ -18,13 +18,6 @@ type Fissile struct {
 	cnt   Counters
 }
 
-// NewFissile creates a Fissile lock.
-func NewFissile(e *sim.Engine, tag string) *Fissile {
-	return &Fissile{inner: e.Mem().AllocWord(tag), outer: NewMCS(e, tag)}
-}
-
-func (l *Fissile) Name() string { return "fissile" }
-
 // Lock tries the inner word once, then acquires the outer MCS lock and
 // spins on the inner word as the sole alpha contender.
 func (l *Fissile) Lock(t *sim.Thread) {
@@ -74,8 +67,9 @@ func (l *Fissile) Stats() *Counters { return &l.cnt }
 func FissileMaker() Maker {
 	return Maker{
 		Name: "fissile",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewFissile(e, tag) },
+		New: func(e *sim.Engine, tag string) Lock {
+			return &Fissile{inner: e.Mem().AllocWord(tag), outer: newMCS(e, tag, false)}
+		},
 		Footprint: func(int) Footprint {
 			// 1-byte inner TS word + 8-byte outer tail; waiters hold an MCS
 			// node, the holder holds nothing (released before the CS).

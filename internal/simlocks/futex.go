@@ -48,23 +48,8 @@ type Pthread struct {
 	word sim.Word
 	q    futexQ
 	spin uint64 // pre-park spin budget in cycles (0 for stock pthread)
-	name string
 	cnt  Counters
 }
-
-// NewPthread creates a stock pthread-style mutex.
-func NewPthread(e *sim.Engine, tag string) *Pthread {
-	return &Pthread{word: e.Mem().AllocWord(tag), name: "pthread"}
-}
-
-// NewMutexee creates the Mutexee variant (Falsafi et al., ATC'16): the same
-// futex protocol but with a bounded spin phase before sleeping, trading a
-// little CPU for far fewer syscalls and wakeup latencies.
-func NewMutexee(e *sim.Engine, tag string) *Pthread {
-	return &Pthread{word: e.Mem().AllocWord(tag), name: "mutexee", spin: 4000}
-}
-
-func (l *Pthread) Name() string { return l.name }
 
 // Lock implements the classic futex mutex: CAS fast path, Swap-to-2 slow
 // path with futex sleeps.
@@ -127,20 +112,20 @@ func (l *Pthread) Stats() *Counters { return &l.cnt }
 func PthreadMaker() Maker {
 	return Maker{
 		Name: "pthread",
-		Kind: Blocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewPthread(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return &Pthread{word: e.Mem().AllocWord(tag)} },
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 40, PerWaiter: 0, PerHolder: 0}
 		},
 	}
 }
 
-// MutexeeMaker registers the Mutexee lock.
+// MutexeeMaker registers the Mutexee lock (Falsafi et al., ATC'16): the
+// same futex protocol but with a bounded spin phase before sleeping,
+// trading a little CPU for far fewer syscalls and wakeup latencies.
 func MutexeeMaker() Maker {
 	return Maker{
 		Name: "mutexee",
-		Kind: Blocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewMutexee(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return &Pthread{word: e.Mem().AllocWord(tag), spin: 4000} },
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 16, PerWaiter: 0, PerHolder: 0}
 		},

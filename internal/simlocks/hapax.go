@@ -39,19 +39,6 @@ type Hapax struct {
 	cnt Counters
 }
 
-// NewHapax creates a Hapax lock.
-func NewHapax(e *sim.Engine, tag string) *Hapax {
-	l := &Hapax{
-		tail: e.Mem().AllocWord(tag),
-		seq:  make(map[int]uint64),
-		cur:  make(map[int]uint64),
-	}
-	l.nodes = newNodeTable(e, tag, hpxWords, &l.cnt)
-	return l
-}
-
-func (l *Hapax) Name() string { return "hapax" }
-
 // value mints a fresh, never-reused value for thread t: the thread handle
 // in the high half, a per-thread sequence number in the low half.
 func (l *Hapax) value(t *sim.Thread) uint64 {
@@ -109,8 +96,15 @@ func (l *Hapax) Stats() *Counters { return &l.cnt }
 func HapaxMaker() Maker {
 	return Maker{
 		Name: "hapax",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewHapax(e, tag) },
+		New: func(e *sim.Engine, tag string) Lock {
+			l := &Hapax{
+				tail: e.Mem().AllocWord(tag),
+				seq:  make(map[int]uint64),
+				cur:  make(map[int]uint64),
+			}
+			l.nodes = newNodeTable(e, tag, hpxWords, &l.cnt)
+			return l
+		},
 		Footprint: func(int) Footprint {
 			// One tail word per lock, one mailbox word per waiting thread;
 			// the holder retains only its value (a register), no memory.

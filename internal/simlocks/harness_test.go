@@ -65,7 +65,7 @@ func TestMCSMutualExclusion(t *testing.T) {
 
 func TestTicketIsFIFO(t *testing.T) {
 	e := sim.NewEngine(sim.Config{Topo: topology.Laptop(), Seed: 1, HardStop: 1_000_000_000})
-	l := NewTicket(e, "l")
+	l := TicketMaker().New(e, "l")
 	var order []int
 	gate := e.Mem().AllocWord("gate")
 	for i := 0; i < 4; i++ {

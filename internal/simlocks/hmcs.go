@@ -31,8 +31,9 @@ type HMCS struct {
 	cnt   Counters
 }
 
-// NewHMCS creates an HMCS lock.
-func NewHMCS(e *sim.Engine, tag string) *HMCS {
+// newHMCS creates an HMCS lock; heap accounts its per-thread nodes as heap
+// allocations (userspace deployment).
+func newHMCS(e *sim.Engine, tag string, heap bool) *HMCS {
 	socks := e.Topology().Sockets
 	l := &HMCS{
 		e:      e,
@@ -45,18 +46,9 @@ func NewHMCS(e *sim.Engine, tag string) *HMCS {
 		l.gnodes[s] = e.Mem().Alloc(tag+"/gnode", 2)
 	}
 	l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
+	l.nodes.heap = heap
 	return l
 }
-
-// NewHMCSHeap creates an HMCS lock whose per-thread nodes are accounted as
-// heap allocations (userspace deployment).
-func NewHMCSHeap(e *sim.Engine, tag string) *HMCS {
-	l := NewHMCS(e, tag)
-	l.nodes.heap = true
-	return l
-}
-
-func (l *HMCS) Name() string { return "hmcs" }
 
 // globalAcquire enqueues the socket's record on the global MCS lock.
 func (l *HMCS) globalAcquire(t *sim.Thread, skt int) {
@@ -158,8 +150,7 @@ func (l *HMCS) Stats() *Counters { return &l.cnt }
 func HMCSMaker() Maker {
 	return Maker{
 		Name: "hmcs",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewHMCS(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return newHMCS(e, tag, false) },
 		Footprint: func(sockets int) Footprint {
 			return Footprint{PerLock: 128*sockets + 16, PerWaiter: 24, PerHolder: 24}
 		},
@@ -169,7 +160,8 @@ func HMCSMaker() Maker {
 // HMCSHeapMaker registers the userspace HMCS with heap-allocated nodes.
 func HMCSHeapMaker() Maker {
 	m := HMCSMaker()
-	m.New = func(e *sim.Engine, tag string) Lock { return NewHMCSHeap(e, tag) }
+	m.Name = "hmcs-heap"
+	m.New = func(e *sim.Engine, tag string) Lock { return newHMCS(e, tag, true) }
 	m.Footprint = func(sockets int) Footprint {
 		return Footprint{PerLock: 128*sockets + 16, PerWaiter: 24, PerHolder: 24, HeapNodes: true}
 	}

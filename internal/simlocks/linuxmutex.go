@@ -18,26 +18,6 @@ type LinuxMutex struct {
 
 const lmWaitersBit = 1 << 63
 
-// NewLinuxMutex creates a stock Linux mutex.
-func NewLinuxMutex(e *sim.Engine, tag string) *LinuxMutex {
-	ws := e.Mem().Alloc(tag, 2)
-	l := &LinuxMutex{e: e, owner: ws[0], osq: ws[1]}
-	l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
-	return l
-}
-
-func (l *LinuxMutex) Name() string { return "stock-mutex" }
-
-// DebugState reports internal state for deadlock diagnostics.
-func (l *LinuxMutex) DebugState() (owner uint64, osq uint64, queued []int) {
-	owner = l.e.Mem().Peek(l.owner)
-	osq = l.e.Mem().Peek(l.osq)
-	for _, w := range l.q.waiters {
-		queued = append(queued, w.ID())
-	}
-	return
-}
-
 // tryAcquire attempts to take the owner word, preserving the waiters bit.
 func (l *LinuxMutex) tryAcquire(t *sim.Thread, v uint64) bool {
 	return v&^uint64(lmWaitersBit) == 0 && t.CAS(l.owner, v, handle(t)|v&lmWaitersBit)
@@ -153,8 +133,12 @@ func (l *LinuxMutex) Stats() *Counters { return &l.cnt }
 func LinuxMutexMaker() Maker {
 	return Maker{
 		Name: "stock-mutex",
-		Kind: Blocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewLinuxMutex(e, tag) },
+		New: func(e *sim.Engine, tag string) Lock {
+			ws := e.Mem().Alloc(tag, 2)
+			l := &LinuxMutex{e: e, owner: ws[0], osq: ws[1]}
+			l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
+			return l
+		},
 		Footprint: func(int) Footprint {
 			// struct mutex: owner + wait_lock + osq + wait_list.
 			return Footprint{PerLock: 40, PerWaiter: 32, PerHolder: 0}

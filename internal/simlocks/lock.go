@@ -1,8 +1,14 @@
 // Package simlocks implements every lock algorithm the paper evaluates,
 // written against the simulator's Thread API: TAS, TTAS, ticket, MCS, the
 // Linux qspinlock, CNA, Cohort, HMCS, CST, Malthusian, MCS-TP, futex-based
-// pthread mutex, Mutexee, the Linux mutex and rwsem, BRAVO, and the three
-// ShflLocks (non-blocking, blocking, readers-writer).
+// pthread mutex, Mutexee, the Linux mutex and rwsem, BRAVO, the three
+// ShflLocks (non-blocking, blocking, readers-writer) and their successors
+// Fissile, Hapax and Reciprocating.
+//
+// Each lock is exported as a Maker (or RWMaker): its name, constructor and
+// Table 1 footprint. The package keeps no list of them; internal/lockreg
+// is the one enumeration, holding each maker with the lock's capabilities
+// (whether it blocks is stated there, as CapBlocking).
 //
 // All algorithms operate on simulated memory words so that the cost model
 // charges them for exactly the cache-line movement their real counterparts
@@ -15,8 +21,6 @@ import "shfllock/internal/sim"
 
 // Lock is a mutual-exclusion lock on the simulated machine.
 type Lock interface {
-	// Name identifies the algorithm (e.g. "mcs", "shfllock-b").
-	Name() string
 	// Lock acquires the lock for thread t, blocking (spinning or
 	// parking, per algorithm) until it is held.
 	Lock(t *sim.Thread)
@@ -28,20 +32,11 @@ type Lock interface {
 
 // RWLock is a readers-writer lock on the simulated machine.
 type RWLock interface {
-	Name() string
 	RLock(t *sim.Thread)
 	RUnlock(t *sim.Thread)
 	Lock(t *sim.Thread)
 	Unlock(t *sim.Thread)
 }
-
-// Kind classifies lock algorithms the way the paper's tables do.
-type Kind uint8
-
-const (
-	NonBlocking Kind = iota // waiters always spin
-	Blocking                // waiters may park when over-subscribed
-)
 
 // Footprint describes a lock's memory cost in bytes, mirroring Table 1.
 type Footprint struct {
@@ -56,7 +51,6 @@ type Footprint struct {
 // memory-statistics group so experiments can attribute traffic per lock.
 type Maker struct {
 	Name string
-	Kind Kind
 	New  func(e *sim.Engine, tag string) Lock
 	// Footprint on a machine with the given socket count.
 	Footprint func(sockets int) Footprint
@@ -65,7 +59,6 @@ type Maker struct {
 // RWMaker constructs a readers-writer lock instance.
 type RWMaker struct {
 	Name      string
-	Kind      Kind
 	New       func(e *sim.Engine, tag string) RWLock
 	Footprint func(sockets int) Footprint
 }

@@ -28,15 +28,6 @@ type Malthusian struct {
 	cnt     Counters
 }
 
-// NewMalthusian creates a Malthusian lock.
-func NewMalthusian(e *sim.Engine, tag string) *Malthusian {
-	l := &Malthusian{e: e, tail: e.Mem().AllocWord(tag)}
-	l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
-	return l
-}
-
-func (l *Malthusian) Name() string { return "malthusian" }
-
 // Lock joins the MCS queue; a culled waiter sleeps on the passive list and
 // re-enqueues when promoted.
 func (l *Malthusian) Lock(t *sim.Thread) {
@@ -148,8 +139,11 @@ func (l *Malthusian) Stats() *Counters { return &l.cnt }
 func MalthusianMaker() Maker {
 	return Maker{
 		Name: "malthusian",
-		Kind: Blocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewMalthusian(e, tag) },
+		New: func(e *sim.Engine, tag string) Lock {
+			l := &Malthusian{e: e, tail: e.Mem().AllocWord(tag)}
+			l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
+			return l
+		},
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 24, PerWaiter: 32, PerHolder: 32, HeapNodes: true}
 		},

@@ -28,22 +28,14 @@ type MCS struct {
 	cnt   Counters
 }
 
-// NewMCS creates an MCS lock.
-func NewMCS(e *sim.Engine, tag string) *MCS {
+// newMCS creates an MCS lock; heap accounts its per-thread queue nodes as
+// heap allocations (userspace deployment).
+func newMCS(e *sim.Engine, tag string, heap bool) *MCS {
 	l := &MCS{tail: e.Mem().AllocWord(tag)}
 	l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
+	l.nodes.heap = heap
 	return l
 }
-
-// NewMCSHeap creates an MCS lock whose per-thread queue nodes are counted
-// as heap allocations (userspace deployment).
-func NewMCSHeap(e *sim.Engine, tag string) *MCS {
-	l := NewMCS(e, tag)
-	l.nodes.heap = true
-	return l
-}
-
-func (l *MCS) Name() string { return "mcs" }
 
 // Lock enqueues the caller and spins on its private node.
 func (l *MCS) Lock(t *sim.Thread) {
@@ -94,8 +86,7 @@ func (l *MCS) Stats() *Counters { return &l.cnt }
 func MCSMaker() Maker {
 	return Maker{
 		Name: "mcs",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewMCS(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return newMCS(e, tag, false) },
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 8, PerWaiter: 12, PerHolder: 12}
 		},
@@ -105,7 +96,8 @@ func MCSMaker() Maker {
 // MCSHeapMaker registers the userspace MCS variant with heap queue nodes.
 func MCSHeapMaker() Maker {
 	m := MCSMaker()
-	m.New = func(e *sim.Engine, tag string) Lock { return NewMCSHeap(e, tag) }
+	m.Name = "mcs-heap"
+	m.New = func(e *sim.Engine, tag string) Lock { return newMCS(e, tag, true) }
 	m.Footprint = func(int) Footprint {
 		return Footprint{PerLock: 8, PerWaiter: 12, PerHolder: 12, HeapNodes: true}
 	}

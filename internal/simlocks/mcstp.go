@@ -27,15 +27,6 @@ type MCSTP struct {
 	cnt   Counters
 }
 
-// NewMCSTP creates a time-published MCS lock.
-func NewMCSTP(e *sim.Engine, tag string) *MCSTP {
-	l := &MCSTP{e: e, tail: e.Mem().AllocWord(tag)}
-	l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
-	return l
-}
-
-func (l *MCSTP) Name() string { return "mcstp" }
-
 // Lock joins the queue, re-enqueueing whenever the holder fails us for
 // having been preempted.
 func (l *MCSTP) Lock(t *sim.Thread) {
@@ -117,8 +108,11 @@ func (l *MCSTP) Stats() *Counters { return &l.cnt }
 func MCSTPMaker() Maker {
 	return Maker{
 		Name: "mcstp",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewMCSTP(e, tag) },
+		New: func(e *sim.Engine, tag string) Lock {
+			l := &MCSTP{e: e, tail: e.Mem().AllocWord(tag)}
+			l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
+			return l
+		},
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 8, PerWaiter: 48, PerHolder: 48, HeapNodes: true}
 		},

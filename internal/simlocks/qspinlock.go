@@ -23,16 +23,6 @@ const (
 	qslPending = 1 << 8
 )
 
-// NewQSpinLock creates a stock qspinlock.
-func NewQSpinLock(e *sim.Engine, tag string) *QSpinLock {
-	ws := e.Mem().Alloc(tag, 2)
-	l := &QSpinLock{glock: ws[0], tail: ws[1]}
-	l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
-	return l
-}
-
-func (l *QSpinLock) Name() string { return "qspinlock" }
-
 // Lock implements fast path (uncontended CAS), pending midpath (first
 // waiter spins on the lock word) and MCS slow path (further waiters queue).
 func (l *QSpinLock) Lock(t *sim.Thread) {
@@ -112,8 +102,12 @@ func (l *QSpinLock) Stats() *Counters { return &l.cnt }
 func QSpinLockMaker() Maker {
 	return Maker{
 		Name: "stock-qspinlock",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewQSpinLock(e, tag) },
+		New: func(e *sim.Engine, tag string) Lock {
+			ws := e.Mem().Alloc(tag, 2)
+			l := &QSpinLock{glock: ws[0], tail: ws[1]}
+			l.nodes = newNodeTable(e, tag, qWords, &l.cnt)
+			return l
+		},
 		Footprint: func(int) Footprint {
 			// 4 bytes in the kernel; per-CPU MCS nodes are preallocated,
 			// charged here as the waiter node.

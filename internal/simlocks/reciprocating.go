@@ -40,15 +40,6 @@ type Recip struct {
 	cnt   Counters
 }
 
-// NewRecip creates a Reciprocating lock.
-func NewRecip(e *sim.Engine, tag string) *Recip {
-	l := &Recip{arr: e.Mem().AllocWord(tag)}
-	l.nodes = newNodeTable(e, tag, recipWords, &l.cnt)
-	return l
-}
-
-func (l *Recip) Name() string { return "reciprocating" }
-
 func (l *Recip) node(t *sim.Thread, h uint64) []sim.Word {
 	return l.nodes.get(threadOf(t.Engine(), h))
 }
@@ -133,8 +124,11 @@ func (l *Recip) Stats() *Counters { return &l.cnt }
 func RecipMaker() Maker {
 	return Maker{
 		Name: "reciprocating",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewRecip(e, tag) },
+		New: func(e *sim.Engine, tag string) Lock {
+			l := &Recip{arr: e.Mem().AllocWord(tag)}
+			l.nodes = newNodeTable(e, tag, recipWords, &l.cnt)
+			return l
+		},
 		Footprint: func(int) Footprint {
 			// One arrivals word per lock (the held sentinel is a value, not
 			// memory); waiters hold a 3-word node and keep it through the

@@ -34,22 +34,6 @@ type RWSem struct {
 	cnt    Counters
 }
 
-// NewRWSem creates a stock rwsem.
-func NewRWSem(e *sim.Engine, tag string) *RWSem {
-	return &RWSem{e: e, count: e.Mem().AllocWord(tag)}
-}
-
-func (l *RWSem) Name() string { return "stock-rwsem" }
-
-// DebugState reports internal state for deadlock diagnostics.
-func (l *RWSem) DebugState() (count uint64, queued []int) {
-	count = l.e.Mem().Peek(l.count)
-	for _, w := range l.q {
-		queued = append(queued, w.t.ID())
-	}
-	return
-}
-
 // Stats returns the lock's counters.
 func (l *RWSem) Stats() *Counters { return &l.cnt }
 
@@ -224,8 +208,7 @@ func (l *RWSem) rearmWaitersBit(t *sim.Thread) {
 func RWSemMaker() RWMaker {
 	return RWMaker{
 		Name: "stock-rwsem",
-		Kind: Blocking,
-		New:  func(e *sim.Engine, tag string) RWLock { return NewRWSem(e, tag) },
+		New:  func(e *sim.Engine, tag string) RWLock { return &RWSem{e: e, count: e.Mem().AllocWord(tag)} },
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 40, PerWaiter: 32, PerHolder: 0}
 		},

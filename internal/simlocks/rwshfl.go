@@ -24,17 +24,6 @@ type ShflRW struct {
 	cnt   Counters
 }
 
-// NewShflRW creates a blocking readers-writer ShflLock.
-func NewShflRW(e *sim.Engine, tag string) *ShflRW {
-	return &ShflRW{
-		e:     e,
-		count: e.Mem().AllocWord(tag + "/count"),
-		wlock: NewShflLockB(e, tag+"/wlock"),
-	}
-}
-
-func (l *ShflRW) Name() string { return "shfllock-rw" }
-
 // Stats returns the lock's counters.
 func (l *ShflRW) Stats() *Counters { return &l.cnt }
 
@@ -100,8 +89,13 @@ func (l *ShflRW) Unlock(t *sim.Thread) {
 func ShflRWMaker() RWMaker {
 	return RWMaker{
 		Name: "shfllock-rw",
-		Kind: Blocking,
-		New:  func(e *sim.Engine, tag string) RWLock { return NewShflRW(e, tag) },
+		New: func(e *sim.Engine, tag string) RWLock {
+			return &ShflRW{
+				e:     e,
+				count: e.Mem().AllocWord(tag + "/count"),
+				wlock: newShfl(e, tag+"/wlock", true),
+			}
+		},
 		Footprint: func(int) Footprint {
 			// 8-byte indicator + 12-byte wlock.
 			return Footprint{PerLock: 20, PerWaiter: 28, PerHolder: 0}
@@ -116,25 +110,21 @@ func ShflRWMaker() RWMaker {
 // line); the cost is ~128 bytes per socket per lock instance.
 type PerSocketRW struct {
 	e       *sim.Engine
-	name    string
 	readers []sim.Word // per-socket padded reader counts
 	wflag   sim.Word   // writer-active flag
 	mutex   Lock
 	cnt     Counters
 }
 
-// NewPerSocketRW wraps mutex with a per-socket read indicator.
-func NewPerSocketRW(e *sim.Engine, tag, name string, mutex Lock) *PerSocketRW {
+// newPerSocketRW wraps mutex with a per-socket read indicator.
+func newPerSocketRW(e *sim.Engine, tag string, mutex Lock) *PerSocketRW {
 	return &PerSocketRW{
 		e:       e,
-		name:    name,
 		readers: e.Mem().AllocPadded(tag+"/readers", e.Topology().Sockets),
 		wflag:   e.Mem().AllocWord(tag + "/wflag"),
 		mutex:   mutex,
 	}
 }
-
-func (l *PerSocketRW) Name() string { return l.name }
 
 // Stats returns the lock's counters.
 func (l *PerSocketRW) Stats() *Counters { return &l.cnt }
@@ -187,9 +177,8 @@ func (l *PerSocketRW) Unlock(t *sim.Thread) {
 func CohortRWMaker() RWMaker {
 	return RWMaker{
 		Name: "cohort-rw",
-		Kind: NonBlocking,
 		New: func(e *sim.Engine, tag string) RWLock {
-			return NewPerSocketRW(e, tag, "cohort-rw", NewCohort(e, tag+"/w"))
+			return newPerSocketRW(e, tag, newCohort(e, tag+"/w"))
 		},
 		Footprint: func(sockets int) Footprint {
 			return Footprint{PerLock: 128*sockets + 128*sockets + 128, PerWaiter: 24, PerHolder: 24}
@@ -203,9 +192,8 @@ func CSTRWMaker() RWMaker {
 	allocFor := allocatorPerEngine()
 	return RWMaker{
 		Name: "cst-rw",
-		Kind: Blocking,
 		New: func(e *sim.Engine, tag string) RWLock {
-			return NewPerSocketRW(e, tag, "cst-rw", NewCST(e, allocFor(e), tag+"/w"))
+			return newPerSocketRW(e, tag, newCST(e, allocFor(e), tag+"/w"))
 		},
 		Footprint: func(sockets int) Footprint {
 			return Footprint{PerLock: 128*sockets + cstSnodeBytes*sockets + 32, PerWaiter: 24, PerHolder: 0, Dynamic: true}

@@ -102,16 +102,7 @@ type ShflLock struct {
 	limbo map[int]bool
 }
 
-// NewShflLockNB creates the non-blocking ShflLock with all optimizations.
-func NewShflLockNB(e *sim.Engine, tag string) *ShflLock {
-	return newShfl(e, tag, false)
-}
-
-// NewShflLockB creates the blocking ShflLock with all optimizations.
-func NewShflLockB(e *sim.Engine, tag string) *ShflLock {
-	return newShfl(e, tag, true)
-}
-
+// newShfl creates a ShflLock with all optimizations, blocking or not.
 func newShfl(e *sim.Engine, tag string, blocking bool) *ShflLock {
 	ws := e.Mem().Alloc(tag, 2)
 	l := &ShflLock{
@@ -181,13 +172,6 @@ func (l *ShflLock) maybeFlip(t *sim.Thread, m sim.FlipMoment) {
 	if p := shuffle.ByName(name); p != nil {
 		l.SetPolicy(p, "chaos:"+m.String(), t.Now())
 	}
-}
-
-func (l *ShflLock) Name() string {
-	if l.Blocking {
-		return "shfllock-b"
-	}
-	return "shfllock-nb"
 }
 
 // Stats returns the lock's counters.
@@ -711,8 +695,7 @@ func (l *ShflLock) setSpinning(t *sim.Thread, h uint64, byShuffler bool) {
 func ShflLockNBMaker() Maker {
 	return Maker{
 		Name: "shfllock-nb",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewShflLockNB(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return newShfl(e, tag, false) },
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 12, PerWaiter: 28, PerHolder: 0}
 		},
@@ -723,8 +706,7 @@ func ShflLockNBMaker() Maker {
 func ShflLockBMaker() Maker {
 	return Maker{
 		Name: "shfllock-b",
-		Kind: Blocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewShflLockB(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return newShfl(e, tag, true) },
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 12, PerWaiter: 28, PerHolder: 0}
 		},
@@ -736,9 +718,8 @@ func ShflLockBMaker() Maker {
 func ShflLockBNUMAStealMaker() Maker {
 	return Maker{
 		Name: "shfllock-b-numa",
-		Kind: Blocking,
 		New: func(e *sim.Engine, tag string) Lock {
-			l := NewShflLockB(e, tag)
+			l := newShfl(e, tag, true)
 			l.StealLocalOnly = true
 			l.lastSocket = e.Mem().AllocWord(tag + "/lastskt")
 			return l
@@ -755,9 +736,8 @@ func ShflLockAblationMaker(stage int) Maker {
 	names := []string{"shfl-base", "shfl+shuffler", "shfl+shufflers", "shfl+qlast"}
 	return Maker{
 		Name: names[stage],
-		Kind: NonBlocking,
 		New: func(e *sim.Engine, tag string) Lock {
-			l := NewShflLockNB(e, tag)
+			l := newShfl(e, tag, false)
 			l.SetPolicy(shuffle.Ablation(stage), "init", 0)
 			return l
 		},
@@ -786,9 +766,8 @@ func (l *ShflLock) SetPriority(threadID int, prio uint64) {
 func ShflLockPriorityMaker() Maker {
 	return Maker{
 		Name: "shfllock-prio",
-		Kind: NonBlocking,
 		New: func(e *sim.Engine, tag string) Lock {
-			l := NewShflLockNB(e, tag)
+			l := newShfl(e, tag, false)
 			l.prios = make(map[int]uint64)
 			l.SetPolicy(shuffle.Priority(), "init", 0)
 			return l

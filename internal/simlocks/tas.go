@@ -6,17 +6,9 @@ import "shfllock/internal/sim"
 // uncontended case, unbounded atomics and cache-line bouncing under
 // contention. This is the baseline whose collapse motivates queue locks.
 type TAS struct {
-	name string
 	word sim.Word
 	cnt  Counters
 }
-
-// NewTAS creates a TAS lock.
-func NewTAS(e *sim.Engine, tag string) *TAS {
-	return &TAS{name: "tas", word: e.Mem().AllocWord(tag)}
-}
-
-func (l *TAS) Name() string { return l.name }
 
 // Lock spins with test-and-test-and-set: read until the lock looks free,
 // then CAS. Every failed CAS still bounces the line, and a release triggers
@@ -54,8 +46,7 @@ func (l *TAS) Stats() *Counters { return &l.cnt }
 func TASMaker() Maker {
 	return Maker{
 		Name: "tas",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewTAS(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return &TAS{word: e.Mem().AllocWord(tag)} },
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 1, PerWaiter: 0, PerHolder: 0}
 		},
@@ -69,13 +60,6 @@ type Ticket struct {
 	word sim.Word
 	cnt  Counters
 }
-
-// NewTicket creates a ticket lock.
-func NewTicket(e *sim.Engine, tag string) *Ticket {
-	return &Ticket{word: e.Mem().AllocWord(tag)}
-}
-
-func (l *Ticket) Name() string { return "ticket" }
 
 const ticketInc = 1 << 32
 
@@ -119,8 +103,7 @@ func (l *Ticket) Stats() *Counters { return &l.cnt }
 func TicketMaker() Maker {
 	return Maker{
 		Name: "ticket",
-		Kind: NonBlocking,
-		New:  func(e *sim.Engine, tag string) Lock { return NewTicket(e, tag) },
+		New:  func(e *sim.Engine, tag string) Lock { return &Ticket{word: e.Mem().AllocWord(tag)} },
 		Footprint: func(int) Footprint {
 			return Footprint{PerLock: 8, PerWaiter: 0, PerHolder: 0}
 		},

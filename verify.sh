@@ -84,6 +84,17 @@ if grep -rnE 'case "(mutex|spinlock|rwmutex|shfl-[a-z]+|goro|goro-[a-z]+|sync\.(
 	exit 1
 fi
 
+echo "== name-resolution gate: memfootprint -lock measures what the registry resolves"
+# Any registry spelling must yield the row the full Table 1 measures
+# (canonical shfl-mutex is the simulator's shfllock-b), and a variant
+# outside Table 1's lineup must get its own measured row, heap flag
+# included.
+ROWS='^(mcs|shfllock-b|stock-rwsem) '
+go run ./cmd/memfootprint -quick -lock mcs,shfl-mutex,stock-rwsem | grep -E "$ROWS" >/tmp/memfootprint-lock.txt
+awk '/^=== /{s=($2=="table1:")} s' results_quick.txt | grep -E "$ROWS" | diff - /tmp/memfootprint-lock.txt
+go run ./cmd/memfootprint -quick -lock mcs-heap | grep -qE '^mcs-heap .* heap '
+echo "memfootprint -lock rows match results_quick.txt; mcs-heap measured with its heap flag"
+
 echo "== transition gate: policy stores go through the epoched transition API"
 # A live policy switch is only safe through PolicyBox.Set (epoch fence +
 # transition log); a direct store to a policy field reintroduces the torn
